@@ -48,7 +48,8 @@ main(int argc, char **argv)
     const auto gains = runner.runGrid(
         bench.size(), capacities.size(),
         [&](std::size_t row, std::size_t col) {
-            return idealVpSpeedup(bench.trace(row), pointConfig(col)) -
+            return runner.rowSweep(row).vpSpeedup(bench.trace(row),
+                                                  pointConfig(col)) -
                    1.0;
         },
         [&](std::size_t row, std::size_t col) {

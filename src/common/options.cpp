@@ -1,5 +1,7 @@
 #include "common/options.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -98,6 +100,24 @@ Options::getInt(const std::string &name) const
     fatalIf(end == text.c_str() || *end != '\0',
             "option --" + name + " expects an integer, got '" + text + "'");
     return parsed;
+}
+
+bool
+parseUnsigned(const std::string &text, std::uint64_t max,
+              std::uint64_t *value, int base)
+{
+    // strtoull skips leading whitespace and negates a '-' sign into a
+    // huge value: demand a leading digit instead.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long parsed =
+        std::strtoull(text.c_str(), &end, base);
+    if (errno == ERANGE || *end != '\0' || parsed > max)
+        return false;
+    *value = parsed;
+    return true;
 }
 
 double

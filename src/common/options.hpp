@@ -108,6 +108,18 @@ class Options
     std::string programName;
 };
 
+/**
+ * Parse @p text as an unsigned integer no larger than @p max. The whole
+ * text must be one number in @p base (0: decimal, 0x hex or 0 octal, as
+ * strtoull reads them): a sign, whitespace, trailing characters or an
+ * out-of-range value make it fail, where plain strtoull would wrap a
+ * negative or stop at the first stray character.
+ *
+ * @return true and @p value set on success; false otherwise.
+ */
+bool parseUnsigned(const std::string &text, std::uint64_t max,
+                   std::uint64_t *value, int base = 0);
+
 } // namespace vpsim
 
 #endif // VPSIM_COMMON_OPTIONS_HPP

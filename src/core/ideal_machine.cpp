@@ -1,6 +1,7 @@
 #include "core/ideal_machine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "common/cancellation.hpp"
@@ -54,13 +55,88 @@ struct ColumnsBlockView
 };
 
 /**
+ * True when the value predictor sees this instruction: it writes a
+ * real register and falls inside the configured prediction scope.
+ */
+bool
+predictsValue(OpCode op, RegIndex rd, VpScope scope)
+{
+    const bool produces_value =
+        writesDest(op) && rd != invalidReg && rd != 0;
+    return produces_value && (scope == VpScope::AllInstructions ||
+                              instClassOf(op) == InstClass::Load);
+}
+
+/**
+ * Visit every block of @p source (rewound first) as a SpanBlockView,
+ * or as a ColumnsBlockView when the source delivers columns.
+ */
+template <typename Visit> void
+forEachBlock(TraceSource &source, Visit &&visit)
+{
+    source.reset();
+    if (source.supportsColumns()) {
+        // Columnar fast path: the block loop streams per-field arrays
+        // (SoA) instead of gathering from 48-byte records.
+        TraceColumns cols;
+        while (source.nextColumns(cols))
+            visit(ColumnsBlockView{cols});
+    } else {
+        TraceSpan block;
+        while (source.nextBlock(block))
+            visit(SpanBlockView{block.data(), block.size()});
+    }
+}
+
+/**
+ * Batched predictor-table probe (one call per delivered block): lets
+ * every table on the predictor's path prefetch the slots of the
+ * block's predicted pcs before the sequential walk probes them one by
+ * one. Pure cache hint, no predictor state change.
+ */
+struct TableProbe
+{
+    ClassifiedPredictor &predictor;
+    const VpScope scope;
+    /** Gather scratch for AoS blocks. */
+    std::vector<Addr> pcs;
+
+    void
+    operator()(const SpanBlockView &block)
+    {
+        pcs.clear();
+        const std::size_t n = block.size();
+        for (std::size_t k = 0; k < n; ++k) {
+            if (predictsValue(block.op(k), block.rd(k), scope))
+                pcs.push_back(block.pc(k));
+        }
+        if (!pcs.empty())
+            predictor.probeBlock(pcs.data(), pcs.size());
+    }
+
+    void
+    operator()(const ColumnsBlockView &block)
+    {
+        // The pc column is already contiguous: hand it to the tables
+        // whole instead of paying a gather pass. The few non-value-
+        // producing pcs prefetch a line that goes unused; that costs
+        // less than filtering them out.
+        if (block.cols.count != 0)
+            predictor.probeBlock(block.cols.pc, block.cols.count);
+    }
+};
+
+/**
  * The span-iterating ideal-machine engine.
  *
  * All loop state lives here so the per-block worker can be specialized
- * at compile time: processBlock<UseVp, FullChecks> is instantiated per
- * (value prediction, deep-check) combination and dispatched once per
- * delivered block, so the per-instruction path of a plain baseline run
- * carries no dead prediction branches and no invariant polling at all.
+ * at compile time: processBlock<UseVp, Replay, FullChecks> is
+ * instantiated per (value prediction, prediction source, deep-check)
+ * combination and dispatched once per delivered block, so the
+ * per-instruction path of a plain baseline run carries no dead
+ * prediction branches and no invariant polling at all. A replayed run
+ * reads each prediction's outcome from an OutcomeColumn instead of
+ * calling the live predictor.
  * Record index, window-ring slot (== i % windowSize) and fetch cycle
  * (== i / fetchRate + 1) are carried incrementally across blocks: the
  * batched loop pays no per-record divide or modulo.
@@ -80,18 +156,20 @@ struct IdealEngine
     IdealMachineResult &result;
     const bool keepSchedule;
     ClassifiedPredictor *predictor = nullptr;
+    /** Replay source (replaces @c predictor when set). */
+    const OutcomeColumn *outcomes = nullptr;
 
     std::vector<Writer> lastWriter;
     /** Ring buffer of the last windowSize execute cycles. */
     std::vector<Cycle> windowExec;
-    /** Scratch for the per-block batched table probe. */
-    std::vector<Addr> probePcs;
 
     Cycle maxExec = 0;
     std::uint64_t i = 0;
     std::size_t windowSlot = 0;
     Cycle fetchCycle = 1;
     unsigned fetchSlot = 0;
+    /** Predicted outcomes a replayed run consumed. */
+    std::uint64_t replayedPredictions = 0;
 
     /**
      * The writer table spans the full RegIndex range so operand lookup
@@ -109,65 +187,29 @@ struct IdealEngine
     {
     }
 
+    template <bool UseVp, bool Replay, typename Block> void
+    dispatchChecks(const Block &block, bool full_checks)
+    {
+        if (full_checks)
+            keepSchedule ? processBlock<UseVp, Replay, true, true>(block)
+                         : processBlock<UseVp, Replay, true, false>(block);
+        else
+            keepSchedule ? processBlock<UseVp, Replay, false, true>(block)
+                         : processBlock<UseVp, Replay, false, false>(block);
+    }
+
     template <typename Block> void
     dispatchBlock(const Block &block, bool full_checks)
     {
-        if (config.useValuePrediction) {
-            if (full_checks)
-                keepSchedule ? processBlock<true, true, true>(block)
-                             : processBlock<true, true, false>(block);
-            else
-                keepSchedule ? processBlock<true, false, true>(block)
-                             : processBlock<true, false, false>(block);
-        } else {
-            if (full_checks)
-                keepSchedule ? processBlock<false, true, true>(block)
-                             : processBlock<false, true, false>(block);
-            else
-                keepSchedule ? processBlock<false, false, true>(block)
-                             : processBlock<false, false, false>(block);
-        }
+        if (!config.useValuePrediction)
+            dispatchChecks<false, false>(block, full_checks);
+        else if (outcomes != nullptr)
+            dispatchChecks<true, true>(block, full_checks);
+        else
+            dispatchChecks<true, false>(block, full_checks);
     }
 
-    /**
-     * Batched predictor-table probe (one call per delivered block):
-     * gathers the in-scope value-producing pcs and lets every table on
-     * the predictor's path prefetch its slots before the sequential
-     * walk below probes them one by one.
-     */
-    void
-    probeBlockTables(const SpanBlockView &block)
-    {
-        probePcs.clear();
-        const std::size_t n = block.size();
-        for (std::size_t k = 0; k < n; ++k) {
-            const OpCode op = block.op(k);
-            const RegIndex rd = block.rd(k);
-            const bool produces_value =
-                writesDest(op) && rd != invalidReg && rd != 0;
-            if (!produces_value)
-                continue;
-            if (config.vpScope != VpScope::AllInstructions &&
-                instClassOf(op) != InstClass::Load)
-                continue;
-            probePcs.push_back(block.pc(k));
-        }
-        if (!probePcs.empty())
-            predictor->probeBlock(probePcs.data(), probePcs.size());
-    }
-
-    void
-    probeBlockTables(const ColumnsBlockView &block)
-    {
-        // The pc column is already contiguous: hand it to the tables
-        // whole instead of paying a gather pass. The few non-value-
-        // producing pcs prefetch a line that goes unused; that costs
-        // less than filtering them out.
-        if (block.cols.count != 0)
-            predictor->probeBlock(block.cols.pc, block.cols.count);
-    }
-
-    template <bool UseVp, bool FullChecks, bool KeepSchedule,
+    template <bool UseVp, bool Replay, bool FullChecks, bool KeepSchedule,
               typename Block> void
     processBlock(const Block &block)
     {
@@ -191,6 +233,7 @@ struct IdealEngine
         std::uint64_t correctly_predicted_uses = 0;
         std::uint64_t useful_predictions = 0;
         std::uint64_t perfect_predictions = 0;
+        std::uint64_t replayed_predictions = 0;
 
         const std::size_t block_size = block.size();
         for (std::size_t k = 0; k < block_size; ++k) {
@@ -313,6 +356,20 @@ struct IdealEngine
                         writer.predicted = true;
                         writer.correct = true;
                         ++perfect_predictions;
+                    } else if constexpr (Replay) {
+                        const unsigned outcome = outcomes->at(i);
+                        writer.predicted =
+                            (outcome & OutcomeColumn::predictedBit) != 0;
+#ifndef VPSIM_MUTATION_IDEAL_REPLAY_DROP_CORRECT
+                        // Mutation target: with -DVPSIM_MUTATION=
+                        // ideal-replay-drop-correct every replayed
+                        // correct prediction reads as wrong, which only
+                        // the reference machine (its own live
+                        // predictor) can notice.
+                        writer.correct =
+                            (outcome & OutcomeColumn::correctBit) != 0;
+#endif
+                        replayed_predictions += writer.predicted ? 1 : 0;
                     } else {
                         const Value actual = block.result(k);
                         const ClassifiedPrediction prediction =
@@ -346,14 +403,17 @@ struct IdealEngine
         result.usefulPredictions += useful_predictions;
         result.predictionsMade += perfect_predictions;
         result.predictionsCorrect += perfect_predictions;
+        replayedPredictions += replayed_predictions;
     }
 };
 
-} // namespace
-
+/**
+ * Shared body of the live and replayed runs: @p outcomes, when set,
+ * stands in for the live predictor.
+ */
 IdealMachineResult
-runIdealMachine(TraceSource &source, const IdealMachineConfig &config,
-                bool keep_schedule)
+runEngine(TraceSource &source, const IdealMachineConfig &config,
+          bool keep_schedule, const OutcomeColumn *outcomes)
 {
     fatalIf(config.fetchRate == 0, "fetch rate must be positive");
     fatalIf(config.windowSize == 0, "window size must be positive");
@@ -361,7 +421,8 @@ runIdealMachine(TraceSource &source, const IdealMachineConfig &config,
     IdealMachineResult result;
 
     std::unique_ptr<ClassifiedPredictor> predictor;
-    if (config.useValuePrediction && !config.perfectValuePrediction) {
+    if (config.useValuePrediction && !config.perfectValuePrediction &&
+        outcomes == nullptr) {
         predictor = makeClassifiedPredictor(
             config.predictorKind, config.tableCapacity,
             config.counterBits, config.missPolicy);
@@ -369,37 +430,50 @@ runIdealMachine(TraceSource &source, const IdealMachineConfig &config,
 
     IdealEngine engine(config, result, keep_schedule);
     engine.predictor = predictor.get();
+    engine.outcomes = outcomes;
+    std::optional<TableProbe> probe;
+    if (predictor)
+        probe.emplace(TableProbe{*predictor, config.vpScope, {}});
 
-    source.reset();
-    if (source.supportsColumns()) {
-        // Columnar fast path: the block loop streams per-field arrays
-        // (SoA) instead of gathering from 48-byte records.
-        TraceColumns cols;
-        while (source.nextColumns(cols)) {
-            simHeartbeat(engine.i);
-            const ColumnsBlockView view{cols};
-            if (predictor)
-                engine.probeBlockTables(view);
-            engine.dispatchBlock(view,
-                                 invariantsActive(InvariantLevel::Full));
-        }
-    } else {
-        TraceSpan block;
-        while (source.nextBlock(block)) {
-            // Progress heartbeat for the --job-timeout watchdog and the
-            // self-check level poll, hoisted to block granularity: one
-            // thread-local store and one relaxed atomic load per <= 4096
-            // records instead of per instruction.
-            simHeartbeat(engine.i);
-            const SpanBlockView view{block.data(), block.size()};
-            if (predictor)
-                engine.probeBlockTables(view);
-            engine.dispatchBlock(view,
-                                 invariantsActive(InvariantLevel::Full));
-        }
-    }
+    forEachBlock(source, [&](const auto &view) {
+        // Progress heartbeat for the --job-timeout watchdog and the
+        // self-check level poll, hoisted to block granularity: one
+        // thread-local store and one relaxed atomic load per <= 4096
+        // records instead of per instruction.
+        simHeartbeat(engine.i);
+        if (probe)
+            (*probe)(view);
+        engine.dispatchBlock(view, invariantsActive(InvariantLevel::Full));
+    });
 
     result.instructions = engine.i;
+    if (outcomes != nullptr) {
+        result.predictionsMade = outcomes->predictionsMade;
+        result.predictionsCorrect = outcomes->predictionsCorrect;
+        result.predictionsWrong = outcomes->predictionsWrong;
+        // Always-on O(1) replay audits: a column computed on another
+        // trace, or on a prefix of this one, must not pass as this
+        // run's predictions.
+        checkInvariant(InvariantLevel::Cheap,
+                       outcomes->size() == result.instructions,
+                       "ideal.replay_length", [&] {
+                           return "outcome column of " +
+                                  std::to_string(outcomes->size()) +
+                                  " insts replayed over " +
+                                  std::to_string(result.instructions);
+                       });
+        checkInvariant(InvariantLevel::Cheap,
+                       engine.replayedPredictions ==
+                           result.predictionsMade,
+                       "ideal.replay_predictions", [&] {
+                           return std::to_string(
+                                      engine.replayedPredictions) +
+                                  " predicted outcomes replayed != " +
+                                  std::to_string(
+                                      result.predictionsMade) +
+                                  " predictions made";
+                       });
+    }
     if (engine.i == 0)
         return result;
 
@@ -452,6 +526,58 @@ runIdealMachine(TraceSource &source, const IdealMachineConfig &config,
     return result;
 }
 
+} // namespace
+
+IdealMachineResult
+runIdealMachine(TraceSource &source, const IdealMachineConfig &config,
+                bool keep_schedule)
+{
+    return runEngine(source, config, keep_schedule, nullptr);
+}
+
+IdealMachineResult
+runIdealMachine(TraceSource &source, const IdealMachineConfig &config,
+                const OutcomeColumn &outcomes, bool keep_schedule)
+{
+    panicIf(!config.useValuePrediction || config.perfectValuePrediction,
+            "outcome replay needs a classified value-prediction config");
+    return runEngine(source, config, keep_schedule, &outcomes);
+}
+
+OutcomeColumn
+computeOutcomes(TraceSource &source, const IdealMachineConfig &config)
+{
+    const std::unique_ptr<ClassifiedPredictor> predictor =
+        makeClassifiedPredictor(config.predictorKind, config.tableCapacity,
+                                config.counterBits, config.missPolicy);
+    TableProbe probe{*predictor, config.vpScope, {}};
+
+    OutcomeColumn column;
+    forEachBlock(source, [&](const auto &view) {
+        simHeartbeat(column.size());
+        probe(view);
+        const std::size_t n = view.size();
+        for (std::size_t k = 0; k < n; ++k) {
+            unsigned bits = 0;
+            if (predictsValue(view.op(k), view.rd(k), config.vpScope)) {
+                const Value actual = view.result(k);
+                const ClassifiedPrediction prediction =
+                    predictor->predictAndTrain(view.pc(k), actual);
+                if (prediction.predicted) {
+                    bits = OutcomeColumn::predictedBit;
+                    if (prediction.value == actual)
+                        bits |= OutcomeColumn::correctBit;
+                }
+            }
+            column.push(bits);
+        }
+    });
+    column.predictionsMade = predictor->predictionsMade();
+    column.predictionsCorrect = predictor->predictionsCorrect();
+    column.predictionsWrong = predictor->predictionsWrong();
+    return column;
+}
+
 IdealMachineResult
 runIdealMachine(const std::vector<TraceRecord> &records,
                 const IdealMachineConfig &config, bool keep_schedule)
@@ -473,30 +599,6 @@ IdealMachineResult::report() const
             << " actually removed a stall\n";
     }
     return oss.str();
-}
-
-double
-idealVpSpeedup(TraceSource &source, const IdealMachineConfig &config)
-{
-    IdealMachineConfig base = config;
-    base.useValuePrediction = false;
-    IdealMachineConfig vp = config;
-    vp.useValuePrediction = true;
-
-    const IdealMachineResult base_result = runIdealMachine(source, base);
-    const IdealMachineResult vp_result = runIdealMachine(source, vp);
-    if (vp_result.cycles == 0)
-        return 1.0;
-    return static_cast<double>(base_result.cycles) /
-           static_cast<double>(vp_result.cycles);
-}
-
-double
-idealVpSpeedup(const std::vector<TraceRecord> &records,
-               const IdealMachineConfig &config)
-{
-    BorrowedTraceSource source{TraceSpan(records)};
-    return idealVpSpeedup(source, config);
 }
 
 } // namespace vpsim

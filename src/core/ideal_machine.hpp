@@ -130,10 +130,88 @@ IdealMachineResult runIdealMachine(const std::vector<TraceRecord> &records,
                                    bool keep_schedule = false);
 
 /**
+ * The classified-prediction outcome of every instruction of one trace
+ * under one predictor configuration: 2 bits per instruction (predicted,
+ * correct; both clear for instructions the predictor never sees), plus
+ * the live predictor's end-of-trace counters.
+ *
+ * The ideal machine's predictor trains immediately on the actual
+ * value, so these outcomes do not depend on fetch rate, window,
+ * front-end latency or misprediction penalty: one column serves every
+ * timing configuration of a sweep (core/ideal_sweep.hpp).
+ */
+class OutcomeColumn
+{
+  public:
+    static constexpr unsigned predictedBit = 1;
+    static constexpr unsigned correctBit = 2;
+
+    /** Instructions covered (the trace length it was computed on). */
+    std::uint64_t size() const { return count; }
+
+    /** Outcome bits of instruction @p i; 0 past the end. */
+    unsigned
+    at(std::uint64_t i) const
+    {
+        if (i >= count)
+            return 0;
+        return static_cast<unsigned>(words[i / perWord] >>
+                                     (i % perWord * 2)) &
+               3u;
+    }
+
+    /** @name The live predictor's counters after the whole trace */
+    /// @{
+    std::uint64_t predictionsMade = 0;
+    std::uint64_t predictionsCorrect = 0;
+    std::uint64_t predictionsWrong = 0;
+    /// @}
+
+    /** Append the outcome bits of the next instruction. */
+    void
+    push(unsigned bits)
+    {
+        if (count % perWord == 0)
+            words.push_back(0);
+        words.back() |= static_cast<std::uint64_t>(bits & 3u)
+                        << (count % perWord * 2);
+        ++count;
+    }
+
+  private:
+    static constexpr std::uint64_t perWord = 32;
+
+    std::vector<std::uint64_t> words;
+    std::uint64_t count = 0;
+};
+
+/**
+ * One pass of the live classified predictor of @p config over
+ * @p source (rewound first), in exactly the order runIdealMachine()
+ * consults it: the outcome column of config's predictor key.
+ */
+OutcomeColumn computeOutcomes(TraceSource &source,
+                              const IdealMachineConfig &config);
+
+/**
+ * runIdealMachine() with the predictor replayed from @p outcomes
+ * instead of run live. Gives the live run's result bit for bit when
+ * @p outcomes was computed on the same trace with the same predictor
+ * key; the always-on checks ideal.replay_length and
+ * ideal.replay_predictions catch a column applied to another trace or
+ * a prefix. @p config must use classified (not perfect) prediction.
+ */
+IdealMachineResult runIdealMachine(TraceSource &source,
+                                   const IdealMachineConfig &config,
+                                   const OutcomeColumn &outcomes,
+                                   bool keep_schedule = false);
+
+/**
  * Convenience for the Figure 3.1 experiment: the speedup of value
  * prediction at a given fetch rate, i.e. cycles(no VP) / cycles(VP) on
- * machines with identical fetch rate. Runs @p source twice (rewinding
- * each time).
+ * machines with identical fetch rate. Evaluated through a one-off
+ * IdealSweep (core/ideal_sweep.hpp): one predictor pass, one replayed
+ * VP run and one no-VP run over @p source (rewinding each time).
  */
 double idealVpSpeedup(TraceSource &source,
                       const IdealMachineConfig &config);

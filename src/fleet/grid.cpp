@@ -1,6 +1,7 @@
 #include "fleet/grid.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hpp"
 #include "predictor/factory.hpp"
@@ -26,16 +27,23 @@ fnv1a(const std::string &text)
     return hash;
 }
 
+/**
+ * Parse one comma-separated grid axis. Every value must be a
+ * non-negative integer no larger than @p max: the machine config
+ * fields are narrower than the parsed integer, so a larger value
+ * would silently wrap into a different configuration.
+ */
 std::vector<std::uint64_t>
-parseAxis(const Options &options, const std::string &name)
+parseAxis(const Options &options, const std::string &name,
+          std::uint64_t max)
 {
     std::vector<std::uint64_t> values;
     for (const std::string &item : options.getList(name)) {
-        char *end = nullptr;
-        const std::uint64_t value =
-            std::strtoull(item.c_str(), &end, 0);
-        fatalIf(end == item.c_str() || *end != '\0',
-                "--" + name + ": bad value '" + item + "'");
+        std::uint64_t value = 0;
+        fatalIf(!parseUnsigned(item, max, &value),
+                "--" + name + ": bad value '" + item +
+                    "' (expects an integer in [0, " +
+                    std::to_string(max) + "])");
         values.push_back(value);
     }
     fatalIf(values.empty(), "--" + name + " must not be empty");
@@ -186,14 +194,16 @@ FleetGrid::FleetGrid(const Options &options)
     for (const std::string &name : predictor_names)
         predictors.push_back(predictorKindFromString(name));
 
-    const std::vector<std::uint64_t> tables =
-        parseAxis(options, "table-sizes");
+    constexpr std::uint64_t unsigned_max =
+        std::numeric_limits<unsigned>::max();
+    const std::vector<std::uint64_t> tables = parseAxis(
+        options, "table-sizes", std::numeric_limits<std::size_t>::max());
     const std::vector<std::uint64_t> windows =
-        parseAxis(options, "window-sizes");
+        parseAxis(options, "window-sizes", unsigned_max);
     const std::vector<std::uint64_t> rates =
-        parseAxis(options, "fetch-rates");
+        parseAxis(options, "fetch-rates", unsigned_max);
     const std::vector<std::uint64_t> penalties =
-        parseAxis(options, "vp-penalties");
+        parseAxis(options, "vp-penalties", unsigned_max);
     for (const std::uint64_t window : windows)
         fatalIf(window == 0, "--window-sizes values must be positive");
     for (const std::uint64_t rate : rates)

@@ -7,12 +7,13 @@
 #include <csignal>
 #include <cstdlib>
 #include <exception>
-#include <map>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "common/cancellation.hpp"
 #include "common/logging.hpp"
-#include "core/ideal_machine.hpp"
+#include "core/ideal_sweep.hpp"
 #include "fleet/result_store.hpp"
 #include "fleet/worker_handle.hpp"
 #include "trace/trace_v3.hpp"
@@ -34,12 +35,16 @@ parseCellRange(const std::string &text, std::uint32_t *first,
     fatalIf(dash == std::string::npos || dash == 0 ||
                 dash + 1 >= text.size(),
             "--fleet-cells expects FIRST-LAST, got '" + text + "'");
-    char *end = nullptr;
-    const std::uint64_t lo =
-        std::strtoull(text.substr(0, dash).c_str(), &end, 10);
-    const std::string hi_text = text.substr(dash + 1);
-    const std::uint64_t hi =
-        std::strtoull(hi_text.c_str(), &end, 10);
+    // Both bounds must be whole decimal cell indices: a stray suffix
+    // ("0x-0zz") must not quietly evaluate some other range.
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    constexpr std::uint64_t cell_max =
+        std::numeric_limits<std::uint32_t>::max();
+    fatalIf(!parseUnsigned(text.substr(0, dash), cell_max, &lo, 10) ||
+                !parseUnsigned(text.substr(dash + 1), cell_max, &hi, 10),
+            "--fleet-cells expects FIRST-LAST cell indices, got '" +
+                text + "'");
     fatalIf(lo > hi, "--fleet-cells range is inverted: " + text);
     *first = static_cast<std::uint32_t>(lo);
     *last = static_cast<std::uint32_t>(hi);
@@ -96,20 +101,26 @@ evaluateCells(const FleetGrid &grid, SimRunner &runner,
     params.seed = static_cast<std::uint64_t>(options.getInt("seed"));
     const std::int64_t poison_cell = options.getInt("poison-cell");
 
-    // A shard is a contiguous row-major range, so it touches at most
-    // ceil(size/cols)+1 workloads; keep each touched trace alive for
-    // the cells that share it.
-    std::map<std::size_t, TraceHandle> row_traces;
+    // A shard is a contiguous ascending cell range, so a row, once
+    // left, is never revisited: keep only the current row's trace and
+    // its fused sweep. Columns nest predictor-key-outer (grid.cpp), so
+    // consecutive cells share a predictor key and the sweep needs one
+    // live outcome column; the no-VP memo is a few words per timing key.
+    std::size_t current_row = grid.rows();
+    TraceHandle trace;
+    std::optional<IdealSweep> sweep;
     std::vector<std::pair<std::uint32_t, double>> cells;
     cells.reserve(last_cell - first_cell + 1);
     std::uint64_t done = 0;
     for (std::uint32_t cell = first_cell; cell <= last_cell; ++cell) {
         const std::size_t row = grid.rowOf(cell);
-        auto found = row_traces.find(row);
-        if (found == row_traces.end()) {
-            TraceHandle trace = runner.captureTrace(
-                grid.workloads()[row], insts, skip, params);
-            found = row_traces.emplace(row, std::move(trace)).first;
+        if (row != current_row) {
+            if (sweep)
+                runner.recordSweep(*sweep);
+            trace = runner.captureTrace(grid.workloads()[row], insts,
+                                        skip, params);
+            sweep.emplace(/*max_columns=*/1);
+            current_row = row;
         }
         double value = 0.0;
         if (poison_cell >= 0 &&
@@ -121,9 +132,8 @@ evaluateCells(const FleetGrid &grid, SimRunner &runner,
             }
             value = std::nan("");
         } else {
-            value = idealVpSpeedup(*found->second,
-                                   grid.columnConfig(
-                                       grid.colOf(cell))) -
+            value = sweep->vpSpeedup(
+                        *trace, grid.columnConfig(grid.colOf(cell))) -
                     1.0;
         }
         cells.emplace_back(cell, value);
@@ -131,6 +141,8 @@ evaluateCells(const FleetGrid &grid, SimRunner &runner,
         if (after_cell)
             after_cell(done);
     }
+    if (sweep)
+        runner.recordSweep(*sweep);
     return cells;
 }
 

@@ -44,7 +44,9 @@ enum class PoisonAction
  * Evaluate global cells [first, last] of @p grid: capture (or load from
  * the runner's trace cache) each touched workload's trace, then compute
  * `idealVpSpeedup(trace, column config) - 1.0` per cell — the exact
- * convention the figure benches use.
+ * convention the figure benches use — through one fused IdealSweep per
+ * row (core/ideal_sweep.hpp), whose pass counts are recorded in
+ * @p runner.
  *
  * @param after_cell Invoked after each finished cell with the count of
  *        cells completed so far (monotonic; heartbeat hook). May be

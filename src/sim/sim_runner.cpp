@@ -379,6 +379,8 @@ SimRunner::runGrid(
     grid.cells = &cells;
     grid.keys.resize(rows * cols);
     grid.done = std::make_unique<std::atomic<bool>[]>(rows * cols);
+    for (std::size_t row = 0; row < rows; ++row)
+        grid.sweeps.push_back(std::make_unique<IdealSweep>());
     for (std::size_t idx = 0; idx < rows * cols; ++idx) {
         grid.keys[idx] = cellKey(grid_id, idx / cols, idx % cols);
         grid.done[idx].store(false, std::memory_order_relaxed);
@@ -478,7 +480,36 @@ SimRunner::runGrid(
     activeGrid = &grid;
     run(std::move(batch));
     activeGrid = nullptr;
+    for (const auto &sweep : grid.sweeps)
+        recordSweep(*sweep);
     return cells;
+}
+
+IdealSweep &
+SimRunner::rowSweep(std::size_t row)
+{
+    panicIf(activeGrid == nullptr || row >= activeGrid->rows,
+            "rowSweep() called outside a runGrid() cell of that row");
+    return *activeGrid->sweeps[row];
+}
+
+void
+SimRunner::recordSweep(const IdealSweep &sweep)
+{
+    const IdealSweep::Counters counts = sweep.counters();
+    sweepPredictorPasses += counts.predictorPasses;
+    sweepBaselineRuns += counts.baselineRuns;
+    sweepReplays += counts.replays;
+}
+
+IdealSweep::Counters
+SimRunner::sweepTotals() const
+{
+    IdealSweep::Counters totals;
+    totals.predictorPasses = sweepPredictorPasses.load();
+    totals.baselineRuns = sweepBaselineRuns.load();
+    totals.replays = sweepReplays.load();
+    return totals;
 }
 
 void
@@ -816,6 +847,20 @@ SimRunner::reportStats() const
         group.addRatio("trace_cache_hit_rate", cache_hits,
                        cache_lookups, "hits / lookups");
     }
+    const IdealSweep::Counters sweeps = sweepTotals();
+    Counter predictor_passes, baseline_runs, replays;
+    predictor_passes += sweeps.predictorPasses;
+    group.addCounter("ideal_predictor_passes", predictor_passes,
+                     "fused sweeps: live predictor passes (outcome "
+                     "columns computed)");
+    baseline_runs += sweeps.baselineRuns;
+    group.addCounter("ideal_novp_runs", baseline_runs,
+                     "fused sweeps: no-VP machine runs (timing keys "
+                     "computed)");
+    replays += sweeps.replays;
+    group.addCounter("ideal_vp_replays", replays,
+                     "fused sweeps: VP runs replayed from an outcome "
+                     "column");
     Counter salvaged_blocks, salvaged_records_lost;
     salvaged_blocks += salvage.blocksQuarantined;
     group.addCounter("salvaged_blocks", salvaged_blocks,

@@ -66,6 +66,7 @@
 #include "common/options.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
+#include "core/ideal_sweep.hpp"
 #include "sim/experiment.hpp"
 #include "trace/streaming_source.hpp"
 #include "trace/trace_cache_store.hpp"
@@ -163,6 +164,27 @@ class SimRunner
             &reference = {});
 
     /**
+     * The running grid's fused ideal-machine sweep of row @p row
+     * (core/ideal_sweep.hpp): one per row, shared by all of the row's
+     * cells, which may call it concurrently, and dropped when runGrid()
+     * returns. Only valid inside a runGrid() cell function, and only
+     * for cells of one trace per row. Figure cells evaluate ideal VP
+     * speedups through it, so a row runs its predictor once per
+     * predictor key and its no-VP machine once per timing key.
+     */
+    IdealSweep &rowSweep(std::size_t row);
+
+    /**
+     * Add @p sweep's pass counts to the totals reportStats() prints
+     * under --stats. runGrid() records its row sweeps; callers that
+     * keep their own sweeps (the fleet) record them when done.
+     */
+    void recordSweep(const IdealSweep &sweep);
+
+    /** Sum of every recorded sweep's pass counts. */
+    IdealSweep::Counters sweepTotals() const;
+
+    /**
      * Capture traces for the benchmarks requested by the options
      * (--benchmarks/--insts/--scale/--seed/--skip), in parallel, through
      * the trace cache when one is configured. Unknown benchmark names
@@ -234,6 +256,8 @@ class SimRunner
         std::vector<std::uint64_t> keys;
         std::vector<std::vector<double>> *cells = nullptr;
         std::unique_ptr<std::atomic<bool>[]> done;
+        /** rowSweep() memos, one per row. */
+        std::vector<std::unique_ptr<IdealSweep>> sweeps;
     };
 
     std::uint64_t cellKey(std::uint64_t grid, std::size_t row,
@@ -305,6 +329,10 @@ class SimRunner
     std::atomic<std::uint64_t> wallMicros{0};
     std::atomic<std::uint64_t> capturesRun{0};
     std::atomic<std::uint64_t> captureMicros{0};
+    /** recordSweep() totals (relaxed sums, read after the grid). */
+    std::atomic<std::uint64_t> sweepPredictorPasses{0};
+    std::atomic<std::uint64_t> sweepBaselineRuns{0};
+    std::atomic<std::uint64_t> sweepReplays{0};
 
     /** Previous signal dispositions, restored on destruction. */
     void (*previousSigint)(int) = nullptr;

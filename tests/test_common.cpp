@@ -334,6 +334,30 @@ TEST(OptionsTest, BadIntegerDies)
                 "expects an integer");
 }
 
+TEST(OptionsTest, ParseUnsignedAcceptsWholeNumbersInRange)
+{
+    std::uint64_t value = 0;
+    EXPECT_TRUE(parseUnsigned("40", 100, &value));
+    EXPECT_EQ(value, 40u);
+    EXPECT_TRUE(parseUnsigned("0x10", 100, &value));
+    EXPECT_EQ(value, 16u);
+    EXPECT_TRUE(parseUnsigned("4294967295", 4294967295ull, &value));
+    EXPECT_EQ(value, 4294967295ull);
+}
+
+TEST(OptionsTest, ParseUnsignedRejectsSignsGarbageAndOverflow)
+{
+    std::uint64_t value = 7;
+    for (const char *text :
+         {"-4", "+4", " 4", "", "4x", "0x", "4294967296",
+          "99999999999999999999999"}) {
+        EXPECT_FALSE(parseUnsigned(text, 4294967295ull, &value)) << text;
+    }
+    // Base 10 does not read a hex prefix: "0x" stops at 'x'.
+    EXPECT_FALSE(parseUnsigned("0x1", 100, &value, 10));
+    EXPECT_EQ(value, 7u) << "a failed parse must not write the value";
+}
+
 TEST(OptionsTest, FingerprintIsCanonicalAndFiltered)
 {
     Options a;

@@ -25,9 +25,11 @@
 
 #include "common/cancellation.hpp"
 #include "common/rng.hpp"
+#include "fleet/grid.hpp"
 #include "fleet/result_store.hpp"
 #include "fleet/retry_policy.hpp"
 #include "fleet/shard_planner.hpp"
+#include "fleet/worker.hpp"
 #include "fleet/worker_handle.hpp"
 
 namespace vpsim
@@ -484,6 +486,61 @@ TEST(WorkerExit, UnknownExitCodeIsInternal)
     int status = 0;
     ::waitpid(pid, &status, 0);
     EXPECT_EQ(classifyExit(status), StatusCode::kInternal);
+}
+
+// ---------------------------------------------------------------------
+// Grid axis and cell-range parsing
+
+Options
+fleetOptions(std::vector<const char *> args)
+{
+    args.insert(args.begin(), "fleet");
+    Options options;
+    declareFleetOptions(options);
+    options.parse(static_cast<int>(args.size()), args.data(), "test");
+    return options;
+}
+
+TEST(GridAxes, NegativeValueIsAParseError)
+{
+    const Options options = fleetOptions({"--fetch-rates", "-4"});
+    EXPECT_EXIT(FleetGrid{options}, ::testing::ExitedWithCode(1),
+                "--fetch-rates: bad value '-4'");
+    const Options tables = fleetOptions({"--table-sizes", "0,-1"});
+    EXPECT_EXIT(FleetGrid{tables}, ::testing::ExitedWithCode(1),
+                "--table-sizes: bad value '-1'");
+}
+
+TEST(GridAxes, ValueAboveUint32IsAParseError)
+{
+    // 4294967336 = 2^32 + 40 used to wrap silently to window 40.
+    const Options windows =
+        fleetOptions({"--window-sizes", "4294967336"});
+    EXPECT_EXIT(FleetGrid{windows}, ::testing::ExitedWithCode(1),
+                "--window-sizes: bad value '4294967336'");
+    const Options penalties =
+        fleetOptions({"--vp-penalties", "1,4294967296"});
+    EXPECT_EXIT(FleetGrid{penalties}, ::testing::ExitedWithCode(1),
+                "--vp-penalties: bad value '4294967296'");
+}
+
+TEST(GridAxes, LargestUint32ValueIsKept)
+{
+    const FleetGrid grid(fleetOptions(
+        {"--vp-penalties", "4294967295", "--benchmarks", "go"}));
+    EXPECT_EQ(grid.columnConfig(0).vpPenalty, 4294967295u);
+}
+
+TEST(WorkerCells, TrailingGarbageIsAParseError)
+{
+    for (const char *range : {"0x-0zz", "0-5zz", "1-4294967296", "0--5"}) {
+        const Options options =
+            fleetOptions({"--fleet-worker", "1", "--fleet-cells", range,
+                          "--result-store", "/nonexistent-store"});
+        EXPECT_EXIT(runFleetWorker(options), ::testing::ExitedWithCode(1),
+                    "--fleet-cells expects")
+            << range;
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ideal_machine.hpp"
+#include "core/ideal_sweep.hpp"
 #include "sim/sim_runner.hpp"
 
 namespace vpsim
@@ -198,6 +200,133 @@ TEST(SimRunner, GridIsDeterministicAcrossJobCounts)
             EXPECT_EQ(serial[r][c], parallel[r][c])
                 << "cell (" << r << "," << c << ")";
     }
+}
+
+/** fig3.1-shaped cells through the runner's per-row fused sweep. */
+std::vector<std::vector<double>>
+fusedGrid(const char *jobs, IdealSweep::Counters *totals)
+{
+    const Options options = parsedOptions(
+        {"--insts", "4000", "--benchmarks", "go,compress,m88ksim",
+         "--jobs", jobs});
+    SimRunner runner(options);
+    const BenchmarkTraces bench = runner.captureBenchmarks();
+    const std::vector<unsigned> rates = {4, 8, 16, 40};
+    const std::vector<unsigned> penalties = {0, 1, 3};
+    const auto cells = runner.runGrid(
+        bench.size(), rates.size() * penalties.size(),
+        [&](std::size_t row, std::size_t col) {
+            IdealMachineConfig config;
+            config.fetchRate = rates[col / penalties.size()];
+            config.vpPenalty = penalties[col % penalties.size()];
+            return runner.rowSweep(row).vpSpeedup(bench.trace(row),
+                                                  config);
+        });
+    *totals = runner.sweepTotals();
+    return cells;
+}
+
+TEST(SimRunner, RowSweepMatchesLiveRunsAtAnyJobCount)
+{
+    IdealSweep::Counters serial_totals;
+    IdealSweep::Counters parallel_totals;
+    const auto serial = fusedGrid("1", &serial_totals);
+    const auto parallel = fusedGrid("4", &parallel_totals);
+    const Options options = parsedOptions(
+        {"--insts", "4000", "--benchmarks", "go,compress,m88ksim"});
+    const BenchmarkTraces bench = capture(options);
+    const std::vector<unsigned> rates = {4, 8, 16, 40};
+    const std::vector<unsigned> penalties = {0, 1, 3};
+    for (std::size_t row = 0; row < bench.size(); ++row) {
+        for (std::size_t col = 0; col < serial[row].size(); ++col) {
+            IdealMachineConfig config;
+            config.fetchRate = rates[col / penalties.size()];
+            config.vpPenalty = penalties[col % penalties.size()];
+            const double base = static_cast<double>(
+                runIdealMachine(bench.trace(row), config).cycles);
+            config.useValuePrediction = true;
+            const double vp = static_cast<double>(
+                runIdealMachine(bench.trace(row), config).cycles);
+            EXPECT_EQ(serial[row][col], base / vp)
+                << "cell (" << row << "," << col << ")";
+            EXPECT_EQ(parallel[row][col], serial[row][col])
+                << "cell (" << row << "," << col << ")";
+        }
+    }
+    // One predictor key per row, four timing keys per row — however
+    // the cells of a row were spread over threads.
+    for (const IdealSweep::Counters &totals :
+         {serial_totals, parallel_totals}) {
+        EXPECT_EQ(totals.predictorPasses, 3u);
+        EXPECT_EQ(totals.baselineRuns, 3u * 4u);
+        EXPECT_EQ(totals.replays, 3u * 12u);
+    }
+}
+
+TEST(ComputeOnceMap, ConcurrentCallersShareOneComputation)
+{
+    ComputeOnceMap<int, int> map;
+    std::atomic<int> computations{0};
+    std::vector<std::thread> threads;
+    std::vector<int> seen(6, 0);
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+        threads.emplace_back([&, t] {
+            seen[t] = map.get(7, [&] {
+                ++computations;
+                std::this_thread::sleep_for(std::chrono::milliseconds(30));
+                return 49;
+            });
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(computations.load(), 1);
+    for (const int value : seen)
+        EXPECT_EQ(value, 49);
+}
+
+TEST(ComputeOnceMap, AThrowingComputationHandsTheKeyToAWaiter)
+{
+    ComputeOnceMap<int, int> map;
+    std::atomic<bool> started{false};
+    std::thread first([&] {
+        EXPECT_THROW(map.get(1,
+                             [&]() -> int {
+                                 started = true;
+                                 std::this_thread::sleep_for(
+                                     std::chrono::milliseconds(30));
+                                 throw std::runtime_error("canceled");
+                             }),
+                     std::runtime_error);
+    });
+    while (!started)
+        std::this_thread::yield();
+    bool computed = false;
+    EXPECT_EQ(map.get(1,
+                      [&] {
+                          computed = true;
+                          return 42;
+                      }),
+              42);
+    first.join();
+    EXPECT_TRUE(computed);
+}
+
+TEST(ComputeOnceMap, AFullMapDropsItsFinishedEntriesForANewKey)
+{
+    ComputeOnceMap<int, int> map(/*max_entries=*/1);
+    int computations = 0;
+    const auto square = [&](int key) {
+        return map.get(key, [&] {
+            ++computations;
+            return key * key;
+        });
+    };
+    EXPECT_EQ(square(2), 4);
+    EXPECT_EQ(square(2), 4);
+    EXPECT_EQ(square(3), 9);
+    EXPECT_EQ(square(2), 4);
+    EXPECT_EQ(computations, 3);
 }
 
 TEST(SimRunner, RunGridShapesOutput)
