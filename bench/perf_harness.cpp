@@ -3,15 +3,10 @@
  * Simulation-throughput harness: wall-clock, MIPS and peak RSS for
  * every machine model, emitted as JSON (schema in docs/PERF.md).
  *
- * Two jobs:
- *  - track the simulator's own speed across commits (the committed
- *    BENCH_<n>.json snapshots; compare with scripts/perf_report.py);
- *  - demonstrate the batched trace-delivery API against the deprecated
- *    per-record shim: `ideal_per_record` is a faithful replica of the
- *    pre-span ideal-machine loop driven one TraceRecord::next() at a
- *    time, and the harness refuses to report a speedup unless both
- *    paths produced bit-identical simulation results on every
- *    benchmark.
+ * It tracks the simulator's own speed across commits (the committed
+ * BENCH_<n>.json snapshots; compare with scripts/perf_report.py). Each
+ * model's cycles_digest is a result fingerprint: the streaming v3 model
+ * must reproduce ideal_span's digest exactly.
  *
  * Measurement method: each model runs --repeats times over all
  * captured benchmark traces back to back; the reported wall time is
@@ -31,14 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "common/cancellation.hpp"
-#include "common/invariant.hpp"
 #include "common/logging.hpp"
 #include "common/resource_usage.hpp"
 #include "core/ideal_machine.hpp"
 #include "core/pipeline_machine.hpp"
 #include "core/reference_machine.hpp"
-#include "isa/instruction.hpp"
 #include "sim/experiment.hpp"
 #include "trace/source.hpp"
 #include "trace/streaming_source.hpp"
@@ -48,178 +40,6 @@ namespace vpsim
 {
 namespace
 {
-
-/**
- * The pre-span ideal machine, verbatim from the per-record era except
- * that records arrive through the deprecated TraceSource::next() shim
- * — one virtual dispatch and one record copy per instruction, plus
- * the per-record divide/modulo and polling the batched loop hoisted.
- * Kept as the harness's measured baseline; its results must match
- * runIdealMachine() exactly.
- */
-IdealMachineResult
-runIdealMachinePerRecord(TraceSource &source,
-                         const IdealMachineConfig &config)
-{
-    fatalIf(config.fetchRate == 0, "fetch rate must be positive");
-    fatalIf(config.windowSize == 0, "window size must be positive");
-
-    IdealMachineResult result;
-
-    std::unique_ptr<ClassifiedPredictor> predictor;
-    if (config.useValuePrediction && !config.perfectValuePrediction) {
-        predictor = makeClassifiedPredictor(
-            config.predictorKind, config.tableCapacity,
-            config.counterBits, config.missPolicy);
-    }
-
-    struct Writer
-    {
-        Cycle execCycle = 0;
-        bool exists = false;
-        bool predicted = false;
-        bool correct = false;
-    };
-    std::vector<Writer> lastWriter(numArchRegs);
-    std::vector<Cycle> windowExec(config.windowSize, 0);
-
-    Cycle max_exec = 0;
-    source.reset();
-    TraceRecord record;
-    std::uint64_t i = 0;
-    // lint:allow trace-per-record -- this driver exists to measure the
-    // deprecated shim against the batched API.
-    for (; source.next(record); ++i) {
-        if ((i & 0xfff) == 0)
-            simHeartbeat(i);
-        const Cycle fetch_cycle = i / config.fetchRate + 1;
-        Cycle earliest = fetch_cycle + config.frontendLatency;
-
-        if (i >= config.windowSize) {
-            earliest = std::max(earliest,
-                                windowExec[i % config.windowSize] + 1);
-        }
-
-        struct OperandUse
-        {
-            Cycle readyNoVp = 0;
-            int kind = 0;
-        };
-        OperandUse uses[2];
-        unsigned num_uses = 0;
-
-        const auto consume = [&](RegIndex reg) {
-            if (reg == invalidReg || reg == 0)
-                return;
-            const Writer &writer = lastWriter[reg];
-            if (!writer.exists)
-                return;
-            OperandUse use;
-            use.readyNoVp = writer.execCycle + 1;
-            if (config.useValuePrediction && writer.predicted)
-                use.kind = writer.correct ? 1 : 2;
-            uses[num_uses++] = use;
-        };
-        consume(record.rs1);
-        consume(record.rs2);
-
-        for (unsigned u = 0; u < num_uses; ++u) {
-            if (uses[u].readyNoVp > earliest)
-                ++result.stallingUses;
-        }
-
-        Cycle issue = earliest;
-        for (unsigned u = 0; u < num_uses; ++u) {
-            if (uses[u].kind == 0)
-                issue = std::max(issue, uses[u].readyNoVp);
-        }
-        Cycle exec = issue;
-        if (num_uses == 2 && uses[0].kind == 2 && uses[1].kind == 2 &&
-            uses[0].readyNoVp > uses[1].readyNoVp) {
-            std::swap(uses[0], uses[1]);
-        }
-        for (unsigned u = 0; u < num_uses; ++u) {
-            if (uses[u].kind != 2)
-                continue;
-            if (uses[u].readyNoVp <= exec) {
-                exec = std::max(exec, uses[u].readyNoVp);
-            } else {
-                exec = uses[u].readyNoVp + config.vpPenalty;
-            }
-        }
-        for (unsigned u = 0; u < num_uses; ++u) {
-            if (uses[u].kind != 1)
-                continue;
-            ++result.correctlyPredictedUses;
-            if (uses[u].readyNoVp > exec)
-                ++result.usefulPredictions;
-        }
-        if (i >= config.windowSize) {
-            checkInvariant(
-                InvariantLevel::Full,
-                exec >= windowExec[i % config.windowSize] + 1,
-                "ideal.window_slot_reuse", [&] {
-                    return "inst " + std::to_string(i) +
-                           " executes in " + std::to_string(exec) +
-                           " but its window slot frees in " +
-                           std::to_string(
-                               windowExec[i % config.windowSize]);
-                });
-        }
-        checkInvariant(InvariantLevel::Full,
-                       exec >= fetch_cycle + config.frontendLatency,
-                       "ideal.frontend_latency", [&] {
-                           return "inst " + std::to_string(i) +
-                                  " executes in " + std::to_string(exec) +
-                                  " before fetch " +
-                                  std::to_string(fetch_cycle) +
-                                  " + frontend latency";
-                       });
-        windowExec[i % config.windowSize] = exec;
-        max_exec = std::max(max_exec, exec);
-
-        if (record.producesValue()) {
-            Writer writer;
-            writer.exists = true;
-            writer.execCycle = exec;
-            const bool in_scope =
-                config.vpScope == VpScope::AllInstructions ||
-                record.instClass() == InstClass::Load;
-            if (config.useValuePrediction && in_scope) {
-                if (config.perfectValuePrediction) {
-                    writer.predicted = true;
-                    writer.correct = true;
-                    ++result.predictionsMade;
-                    ++result.predictionsCorrect;
-                } else {
-                    const ClassifiedPrediction prediction =
-                        predictor->predict(record.pc);
-                    writer.predicted = prediction.predicted;
-                    writer.correct = prediction.predicted &&
-                                     prediction.value == record.result;
-                    predictor->update(record.pc, prediction,
-                                      record.result);
-                }
-            }
-            lastWriter[record.rd] = writer;
-        }
-    }
-
-    result.instructions = i;
-    if (i == 0)
-        return result;
-
-    if (predictor) {
-        result.predictionsMade = predictor->predictionsMade();
-        result.predictionsCorrect = predictor->predictionsCorrect();
-        result.predictionsWrong = predictor->predictionsWrong();
-    }
-
-    result.cycles = max_exec;
-    result.ipc = static_cast<double>(result.instructions) /
-                 static_cast<double>(result.cycles);
-    return result;
-}
 
 /** Everything the JSON needs about one model's measurement. */
 struct ModelMeasurement
@@ -298,8 +118,7 @@ measureModel(const std::string &name, std::uint64_t total_insts,
 void
 writeJson(std::FILE *out, const Options &options,
           const BenchmarkTraces &bench, std::uint64_t total_insts,
-          unsigned repeats, const std::vector<ModelMeasurement> &models,
-          double span_speedup, double span_speedup_vp)
+          unsigned repeats, const std::vector<ModelMeasurement> &models)
 {
     std::fprintf(out, "{\n");
     std::fprintf(out, "  \"schema\": \"vpsim-perf-1\",\n");
@@ -342,15 +161,7 @@ writeJson(std::FILE *out, const Options &options,
         std::fprintf(out, "    }%s\n",
                      i + 1 == models.size() ? "" : ",");
     }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  \"derived\": {\n");
-    std::fprintf(out,
-                 "    \"span_vs_per_record_speedup\": %.3f,\n",
-                 span_speedup);
-    std::fprintf(out,
-                 "    \"span_vs_per_record_speedup_vp\": %.3f\n",
-                 span_speedup_vp);
-    std::fprintf(out, "  }\n");
+    std::fprintf(out, "  ]\n");
     std::fprintf(out, "}\n");
 }
 
@@ -392,8 +203,7 @@ main(int argc, char **argv)
     IdealMachineConfig ideal_config;
     ideal_config.useValuePrediction = true;
     // The pure scheduling loop: no predictor tables, so delivery and
-    // bookkeeping costs are the whole per-instruction path. This is
-    // the pair that isolates the batched API against the shim.
+    // bookkeeping costs are the whole per-instruction path.
     IdealMachineConfig novp_config;
     novp_config.useValuePrediction = false;
 
@@ -405,11 +215,10 @@ main(int argc, char **argv)
                  bench.size(),
                  static_cast<unsigned long long>(total_insts), repeats);
 
-    // The tentpole comparison: batched span delivery vs the deprecated
-    // per-record shim, same machine, same records. Measured both on
-    // the bare scheduling loop (no VP: delivery cost is the whole
-    // story) and with the stride predictor on (delivery amortized
-    // against table lookups).
+    // The ideal machine on columnar span delivery, measured both on the
+    // bare scheduling loop (no VP: delivery cost is the whole story)
+    // and with the stride predictor on (delivery amortized against
+    // table lookups).
     models.push_back(measureModel(
         "ideal_novp_span", total_insts, repeats, sampler, [&] {
             std::uint64_t digest = 0;
@@ -417,17 +226,6 @@ main(int argc, char **argv)
                 BorrowedTraceSource source{TraceSpan(bench.trace(b)),
                                            soa[b].columns()};
                 digest += runIdealMachine(source, novp_config).cycles;
-            }
-            return digest;
-        }));
-    models.push_back(measureModel(
-        "ideal_novp_per_record", total_insts, repeats, sampler, [&] {
-            std::uint64_t digest = 0;
-            for (std::size_t b = 0; b < bench.size(); ++b) {
-                BorrowedTraceSource source{TraceSpan(bench.trace(b))};
-                digest +=
-                    runIdealMachinePerRecord(source, novp_config)
-                        .cycles;
             }
             return digest;
         }));
@@ -442,51 +240,6 @@ main(int argc, char **argv)
             }
             return digest;
         }));
-    models.push_back(measureModel(
-        "ideal_per_record", total_insts, repeats, sampler, [&] {
-            std::uint64_t digest = 0;
-            for (std::size_t b = 0; b < bench.size(); ++b) {
-                BorrowedTraceSource source{TraceSpan(bench.trace(b))};
-                digest +=
-                    runIdealMachinePerRecord(source, ideal_config)
-                        .cycles;
-            }
-            return digest;
-        }));
-
-    // The two paths must agree result-for-result, not just on the
-    // digest: re-run once per benchmark and compare every statistic.
-    for (std::size_t b = 0; b < bench.size(); ++b) {
-        for (const IdealMachineConfig *config :
-             {&novp_config, &ideal_config}) {
-        BorrowedTraceSource span_source{TraceSpan(bench.trace(b)),
-                                        soa[b].columns()};
-        BorrowedTraceSource shim_source{TraceSpan(bench.trace(b))};
-        const IdealMachineResult via_span =
-            runIdealMachine(span_source, *config);
-        const IdealMachineResult via_shim =
-            runIdealMachinePerRecord(shim_source, *config);
-        fatalIf(via_span.cycles != via_shim.cycles ||
-                    via_span.instructions != via_shim.instructions ||
-                    via_span.predictionsMade !=
-                        via_shim.predictionsMade ||
-                    via_span.predictionsCorrect !=
-                        via_shim.predictionsCorrect ||
-                    via_span.predictionsWrong !=
-                        via_shim.predictionsWrong ||
-                    via_span.correctlyPredictedUses !=
-                        via_shim.correctlyPredictedUses ||
-                    via_span.stallingUses != via_shim.stallingUses ||
-                    via_span.usefulPredictions !=
-                        via_shim.usefulPredictions,
-                "span and per-record ideal machines diverged on " +
-                    bench.names[b]);
-        }
-    }
-    std::fprintf(stderr,
-                 "  span/per-record results verified identical on %zu "
-                 "benchmarks\n",
-                 bench.size());
 
     // Streaming phase: the same ideal-machine sweep, but fed from v3
     // files through the bounded-memory StreamingTraceSource instead of
@@ -530,8 +283,11 @@ main(int argc, char **argv)
         for (const std::string &v3_path : v3_paths)
             std::remove(v3_path.c_str());
         const ModelMeasurement &streamed = models.back();
-        fatalIf(streamed.cyclesDigest != models[2].cyclesDigest ||
-                    models[2].name != "ideal_span",
+        const auto in_memory = std::find_if(
+            models.begin(), models.end(),
+            [](const ModelMeasurement &m) { return m.name == "ideal_span"; });
+        fatalIf(in_memory == models.end() ||
+                    streamed.cyclesDigest != in_memory->cyclesDigest,
                 "streaming v3 path diverged from the in-memory span "
                 "path");
         fatalIf(streaming.memBudgetBytes != 0 &&
@@ -574,35 +330,13 @@ main(int argc, char **argv)
             return digest;
         }));
 
-    const auto mipsOf = [&](const std::string &name) {
-        for (const ModelMeasurement &m : models) {
-            if (m.name == name)
-                return m.mips;
-        }
-        return 0.0;
-    };
-    const double novp_per_record = mipsOf("ideal_novp_per_record");
-    const double span_speedup = novp_per_record <= 0.0
-        ? 0.0
-        : mipsOf("ideal_novp_span") / novp_per_record;
-    const double vp_per_record = mipsOf("ideal_per_record");
-    const double span_speedup_vp = vp_per_record <= 0.0
-        ? 0.0
-        : mipsOf("ideal_span") / vp_per_record;
-    std::fprintf(stderr,
-                 "  batched span API vs per-record shim: %.2fx MIPS "
-                 "(hot path), %.2fx with VP tables\n",
-                 span_speedup, span_speedup_vp);
-
-    writeJson(stdout, options, bench, total_insts, repeats, models,
-              span_speedup, span_speedup_vp);
+    writeJson(stdout, options, bench, total_insts, repeats, models);
     const std::string out_path = options.getString("out");
     if (!out_path.empty()) {
         std::FILE *out = std::fopen(out_path.c_str(), "w");
         fatalIf(out == nullptr,
                 "cannot open --out file " + out_path);
-        writeJson(out, options, bench, total_insts, repeats, models,
-                  span_speedup, span_speedup_vp);
+        writeJson(out, options, bench, total_insts, repeats, models);
         std::fclose(out);
     }
     return 0;

@@ -32,7 +32,7 @@ ID = "span-lifetime"
 
 SPAN_TYPES = {"TraceSpan", "TraceColumns"}
 FILL_METHODS = {"nextBlock", "nextColumns"}
-INVALIDATING_METHODS = {"nextBlock", "nextColumns", "next", "reset"}
+INVALIDATING_METHODS = {"nextBlock", "nextColumns", "reset"}
 
 
 class _State:
@@ -185,7 +185,7 @@ class _Checker:
 
     def _negated_probe(self, header):
         """(receiver, out_var|None) when @p header is exactly
-        `! recv.nextBlock(...)` / `! recv.next(...)` — the idiom whose
+        `! recv.nextBlock(...)` / `! recv.nextColumns(...)` — the idiom whose
         taken branch runs only when the delivery FAILED."""
         if not header or header[0].text != "!":
             return None

@@ -38,27 +38,14 @@ raw-mutex
     thread-safety analysis sees every acquire/release. Raw std::mutex
     and friends are allowed only inside the wrapper header itself.
 
-trace-per-record
-    TraceSource::next() is the deprecated one-record compat shim kept
-    for the batched-delivery migration (docs/PERF.md); a per-record
-    loop over it pays a virtual call per instruction and defeats the
-    span API's block-at-a-time hoisting. New code iterates
-    nextBlock() spans. Flagged on receivers declared in the same file
-    with a *TraceSource type; the shim's own definition and measured
-    legacy baselines carry suppressions. Unlike the style rules this
-    one also covers tests/ (the fixture directory excepted), so a new
-    shim caller fails the lint gate anywhere in the tree: the shim's
-    own self-tests carry justified suppressions, everything else must
-    use spans.
-
 trace-materialize
-    materializeTrace() and VectorTraceSource::records() buffer the
-    entire trace in memory — fine for unit-test inputs, fatal for the
-    bounded-memory streaming pipeline (docs/TRACE_FORMAT.md), where a
-    1B-instruction trace must never fully materialize. Production code
-    iterates nextBlock()/nextColumns() spans; the legacy TraceSource
-    convenience overloads that still materialize carry justified
-    suppressions. Tests are not linted for this rule.
+    materializeTrace() buffers the entire trace in memory — fine for
+    unit-test inputs, fatal for the bounded-memory streaming pipeline
+    (docs/TRACE_FORMAT.md), where a 1B-instruction trace must never
+    fully materialize. Production code iterates
+    nextBlock()/nextColumns() spans; the legacy TraceSource convenience
+    overloads that still materialize carry justified suppressions.
+    Tests are not linted for this rule.
 
 Suppression: append `// lint:allow <rule>` (plus a justification) to
 the offending line.
@@ -77,12 +64,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # exempt: test code may use raw primitives and controlled randomness.
 DEFAULT_ROOTS = ["src", "bench", "examples"]
 
-# Roots where only the batched-delivery contract (trace-per-record) is
-# enforced: test code legitimately pokes at internals the style rules
-# forbid, but a per-record simulation loop is a perf bug wherever it
-# lives. The seeded-violation fixture is excluded — it exists to be
-# flagged and is linted only by --self-test.
-TEST_ROOTS = ["tests"]
+# The seeded-violation fixture is the one file under tests/ that is
+# linted, and only by --self-test: it exists to be flagged.
 TEST_EXCLUDE_PREFIX = "tests/lint_fixtures/"
 
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
@@ -91,9 +74,8 @@ SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
 EXEMPT = {
     "raw-mutex": {"src/common/thread_annotations.hpp"},
     "sim-determinism": {"src/common/rng.hpp"},
-    "trace-per-record": {"src/trace/source.hpp"},
-    # The declaration/definition of materializeTrace and the records()
-    # accessor live here; the rule targets their callers.
+    # materializeTrace is declared and defined here; the rule targets
+    # its callers.
     "trace-materialize": {"src/trace/source.hpp",
                           "src/trace/source.cpp"},
 }
@@ -101,7 +83,7 @@ EXEMPT = {
 ALLOW_RE = re.compile(r"lint:allow\s+([\w-]+)")
 
 RULES = ["status-discard", "sim-determinism", "unordered-iter",
-         "raw-mutex", "trace-per-record", "trace-materialize"]
+         "raw-mutex", "trace-materialize"]
 
 
 def strip_comments_and_strings(text):
@@ -381,51 +363,8 @@ def check_raw_mutex(path, text, raw_lines, report):
                "analysis sees the acquire/release" % match.group(0))
 
 
-# Any concrete or abstract trace source (TraceSource,
-# VectorTraceSource, BorrowedTraceSource, future subclasses). Declared
-# by value, reference, pointer or smart pointer in the same file.
-TRACE_SOURCE_CLASS_RE = r"\w*TraceSource"
-TRACE_SOURCE_VAR_DECL_RES = [
-    re.compile(r"\b" + TRACE_SOURCE_CLASS_RE +
-               r"\b(?:\s|&|\*)+(\w+)\s*[;,)({=]"),
-    re.compile(r"_ptr<\s*(?:const\s+)?" + TRACE_SOURCE_CLASS_RE +
-               r"\s*>\s+(\w+)"),
-]
-
-
-def trace_source_vars(text):
-    names = set()
-    for decl_re in TRACE_SOURCE_VAR_DECL_RES:
-        names.update(m.group(1) for m in decl_re.finditer(text))
-    return names
-
-
-def check_trace_per_record(path, text, raw_lines, report):
-    receiver_vars = trace_source_vars(text)
-    if not receiver_vars:
-        return
-    # Only member calls on a known trace-source receiver: bare next(
-    # (std::next, iterator helpers) is never ambiguous here.
-    call_re = re.compile(r"\b(\w+)\s*(?:\.|->)\s*next\s*\(")
-    for match in call_re.finditer(text):
-        if match.group(1) not in receiver_vars:
-            continue
-        lineno = text.count("\n", 0, match.start()) + 1
-        if neighborhood_allows(raw_lines, lineno, "trace-per-record"):
-            continue
-        report(path, lineno, "trace-per-record",
-               "per-record next() on trace source '%s' is the "
-               "deprecated compat shim: iterate nextBlock() spans "
-               "instead (docs/PERF.md), or suppress with a "
-               "justification for a measured legacy baseline"
-               % match.group(1))
-
-
-# Whole-trace materialization: the free function plus the
-# records() accessor (a member call — bare `records(` would hit
-# locals named `records`, which the core machines use for spans).
-MATERIALIZE_RE = re.compile(
-    r"\bmaterializeTrace\s*\(|(?:\.|->)\s*records\s*\(")
+# Whole-trace materialization through the free function.
+MATERIALIZE_RE = re.compile(r"\bmaterializeTrace\s*\(")
 
 
 def check_trace_materialize(path, text, raw_lines, report):
@@ -433,15 +372,12 @@ def check_trace_materialize(path, text, raw_lines, report):
         lineno = text.count("\n", 0, match.start()) + 1
         if neighborhood_allows(raw_lines, lineno, "trace-materialize"):
             continue
-        what = ("materializeTrace()"
-                if "materializeTrace" in match.group(0)
-                else "records()")
         report(path, lineno, "trace-materialize",
-               "whole-trace materialization via %s holds every record "
-               "in memory and defeats the bounded-window streaming "
-               "path (docs/TRACE_FORMAT.md): iterate nextBlock() "
-               "spans, or suppress with a justification for a "
-               "known-small input" % what)
+               "whole-trace materialization via materializeTrace() "
+               "holds every record in memory and defeats the "
+               "bounded-window streaming path (docs/TRACE_FORMAT.md): "
+               "iterate nextBlock() spans, or suppress with a "
+               "justification for a known-small input")
 
 
 def lint_file(path, rel, status_functions, report):
@@ -454,8 +390,6 @@ def lint_file(path, rel, status_functions, report):
 
     if rel.startswith("tests/") and \
             not rel.startswith(TEST_EXCLUDE_PREFIX):
-        if gate("trace-per-record"):
-            check_trace_per_record(path, text, raw_lines, report)
         return
 
     if gate("status-discard") and path.suffix != ".hpp":
@@ -469,8 +403,6 @@ def lint_file(path, rel, status_functions, report):
         check_unordered_iter(path, text, raw_lines, report)
     if gate("raw-mutex"):
         check_raw_mutex(path, text, raw_lines, report)
-    if gate("trace-per-record"):
-        check_trace_per_record(path, text, raw_lines, report)
     if gate("trace-materialize"):
         check_trace_materialize(path, text, raw_lines, report)
 
@@ -518,12 +450,6 @@ def gather(root, arguments):
         paths.extend(sorted(
             f for f in (root / sub).rglob("*")
             if f.suffix in SOURCE_SUFFIXES))
-    for sub in TEST_ROOTS:
-        paths.extend(sorted(
-            f for f in (root / sub).rglob("*")
-            if f.suffix in SOURCE_SUFFIXES and
-            not f.resolve().relative_to(root).as_posix()
-                .startswith(TEST_EXCLUDE_PREFIX)))
     return paths
 
 

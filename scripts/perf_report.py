@@ -40,7 +40,6 @@ TOP_FIELDS = {
     "total_instructions": int,
     "process_peak_rss_bytes": int,
     "models": list,
-    "derived": dict,
 }
 
 MODEL_FIELDS = {
@@ -59,6 +58,8 @@ OPTIONAL_MODEL_FIELDS = {
     "mips_min": (int, float),
 }
 
+# Span-vs-per-record speedups from harnesses that still measured the
+# per-record shim (BENCH_6/7); validated and compared only when present.
 DERIVED_FIELDS = {
     "span_vs_per_record_speedup": (int, float),
     "span_vs_per_record_speedup_vp": (int, float),
@@ -129,7 +130,15 @@ def validate(path):
     names = [model["name"] for model in report["models"]]
     if len(names) != len(set(names)):
         fail(f"{path}: duplicate model names")
-    check_fields(report["derived"], DERIVED_FIELDS, f"{path}: derived")
+    if "derived" in report:
+        derived = report["derived"]
+        if not isinstance(derived, dict):
+            fail(f"{path}: field 'derived' has type "
+                 f"{type(derived).__name__}, expected dict")
+        check_fields(derived,
+                     {key: expected for key, expected
+                      in DERIVED_FIELDS.items() if key in derived},
+                     f"{path}: derived")
     return report
 
 
@@ -199,8 +208,11 @@ def compare(baseline_path, current_path, max_mips_drop=None,
                   f"{cur_models[name]['mips']:.2f} MIPS)")
     print()
     for key in DERIVED_FIELDS:
-        print(f"{key}: baseline {baseline['derived'][key]:.3f}, "
-              f"current {current['derived'][key]:.3f}")
+        base_value = baseline.get("derived", {}).get(key)
+        cur_value = current.get("derived", {}).get(key)
+        if base_value is not None and cur_value is not None:
+            print(f"{key}: baseline {base_value:.3f}, "
+                  f"current {cur_value:.3f}")
 
     if markdown:
         print()

@@ -170,7 +170,7 @@ fleetFingerprintExclusions()
     static const std::vector<std::string> exclusions = {
         "jobs", "trace-cache-dir", "stats", "keep-going", "checkpoint",
         "resume", "fault-inject", "check-invariants", "cross-check",
-        "job-timeout", "trace-format", "salvage-blocks", "mem-budget",
+        "job-timeout", "salvage-blocks", "mem-budget",
         "cache-gc-days", "csv", "fleet-workers", "result-store",
         "fleet-resume", "fleet-shard-cells", "fleet-worker-timeout",
         "fleet-max-attempts", "fleet-retry-base-ms",

@@ -7,7 +7,6 @@
 
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/trace_v3.hpp"
 
 #ifndef VPSIM_GIT_DESCRIBE
@@ -81,7 +80,6 @@ writeRunManifest(const Options &options, const std::string &csv_path)
         options.getString("check-invariants");
     const std::string cross_check = options.getString("cross-check");
     const std::string job_timeout = options.getString("job-timeout");
-    const std::int64_t trace_format = options.getInt("trace-format");
     const std::string salvage_mode =
         options.getBool("salvage-blocks") ? "1" : "0";
     // The signed salvage tally is what makes block-level loss
@@ -96,7 +94,7 @@ writeRunManifest(const Options &options, const std::string &csv_path)
     signing << "vpsim-manifest-signing-v2\n"
             << "schema=" << manifestSchema << '\n'
             << "gitDescribe=" << buildGitDescribe() << '\n'
-            << "traceFormatVersion=" << trace_format << '\n'
+            << "traceFormatVersion=" << traceFormatVersionV3 << '\n'
             << "checkInvariants=" << invariants << '\n'
             << "crossCheck=" << cross_check << '\n'
             << "jobTimeout=" << job_timeout << '\n'
@@ -119,7 +117,7 @@ writeRunManifest(const Options &options, const std::string &csv_path)
         << "  \"schema\": \"" << jsonEscape(manifestSchema) << "\",\n"
         << "  \"gitDescribe\": \"" << jsonEscape(buildGitDescribe())
         << "\",\n"
-        << "  \"traceFormatVersion\": " << trace_format << ",\n"
+        << "  \"traceFormatVersion\": " << traceFormatVersionV3 << ",\n"
         << "  \"checkInvariants\": \"" << jsonEscape(invariants)
         << "\",\n"
         << "  \"crossCheck\": \"" << jsonEscape(cross_check) << "\",\n"

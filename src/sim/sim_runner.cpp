@@ -138,11 +138,6 @@ SimRunner::SimRunner(const Options &options_in)
     jobTimeoutSeconds = options.getDouble("job-timeout");
     fatalIf(jobTimeoutSeconds < 0, "--job-timeout must be >= 0");
 
-    const std::int64_t format = options.getInt("trace-format");
-    fatalIf(format != 2 && format != 3,
-            "--trace-format must be 2 or 3");
-    captureFormatVersion = format >= 3 ? traceFormatVersionV3
-                                       : traceFormatVersion;
     salvageBlocksEnabled = options.getBool("salvage-blocks");
     memBudget = static_cast<std::uint64_t>(options.getInt("mem-budget"))
                 << 20;
@@ -151,14 +146,13 @@ SimRunner::SimRunner(const Options &options_in)
     // (insts, benchmarks, seed, ...) but not by how the run executes
     // (--jobs, cache dir, fault spec, self-check level): a resumed run
     // may use different parallelism or verification settings, and a
-    // differently-configured sweep never matches. --trace-format and
-    // --salvage-blocks are in the execution set too: the v3 round trip
-    // is lossless and salvage only matters when disk corruption
-    // strikes, so neither changes what a cell computes.
+    // differently-configured sweep never matches. --salvage-blocks is
+    // in the execution set too: salvage only matters when disk
+    // corruption strikes, so it never changes what a cell computes.
     configHash = fnv1a(options.fingerprint(
         {"jobs", "trace-cache-dir", "stats", "keep-going", "checkpoint",
          "resume", "fault-inject", "check-invariants", "cross-check",
-         "job-timeout", "trace-format", "salvage-blocks", "mem-budget",
+         "job-timeout", "salvage-blocks", "mem-budget",
          "cache-gc-days"}));
 
     const std::string cache_dir = options.getString("trace-cache-dir");
@@ -578,7 +572,7 @@ SimRunner::captureTrace(const std::string &name, std::uint64_t insts,
 {
     fatalIf(insts == 0, "--insts must be positive");
     const TraceCacheKey key{name, insts, skip, params.scale,
-                            params.seed, captureFormatVersion};
+                            params.seed, traceFormatVersionV3};
     const bool use_cache = cache && !cacheDegraded.load();
     if (use_cache) {
         std::vector<TraceRecord> records;
@@ -594,7 +588,7 @@ SimRunner::captureTrace(const std::string &name, std::uint64_t insts,
     const auto start = std::chrono::steady_clock::now();
     std::vector<TraceRecord> trace;
     bool have_trace = false;
-    if (use_cache && captureFormatVersion >= traceFormatVersionV3) {
+    if (use_cache) {
         // Stream the capture straight into the cache entry in bounded
         // chunks, so insts + skip records never materialize in this
         // process, then map the published entry back in. Warm-up

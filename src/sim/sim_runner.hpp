@@ -221,9 +221,6 @@ class SimRunner
     /** Jobs canceled by the --job-timeout watchdog. */
     std::uint64_t timedOutJobs() const { return timedOutJobCount.load(); }
 
-    /** Trace format version captures use (--trace-format: 2 or 3). */
-    std::uint32_t traceFormat() const { return captureFormatVersion; }
-
     /** --salvage-blocks: quarantine + skip corrupt v3 blocks. */
     bool salvageBlocks() const { return salvageBlocksEnabled; }
 
@@ -315,8 +312,6 @@ class SimRunner
     /** One-shot latch for the cache-degradation warning. */
     std::atomic<bool> cacheDegraded{false};
 
-    /** --trace-format: format version new captures are stored in. */
-    std::uint32_t captureFormatVersion = traceFormatVersion;
     /** --salvage-blocks: block-level corruption containment. */
     bool salvageBlocksEnabled = false;
     /** --mem-budget in bytes (0 = unlimited). */

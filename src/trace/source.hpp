@@ -12,16 +12,14 @@
  * and the per-instruction simulation path is a plain pointer walk.
  *
  * Span lifetime/invalidation rules:
- *  - A span returned by nextBlock() (or a record delivered by the
- *    next() shim) borrows storage owned by the source. It stays valid
- *    until the next *successful* nextBlock()/next() call, a reset(),
- *    or the source's destruction — whichever comes first. A
- *    nextBlock() that reports exhaustion (returns false) never
- *    invalidates earlier spans. Sources backed by stable storage
- *    (VectorTraceSource, BorrowedTraceSource) keep earlier spans
- *    valid for the source's lifetime, but callers must not rely on
- *    that: a streaming source may recycle an internal block buffer on
- *    every delivery.
+ *  - A span returned by nextBlock() borrows storage owned by the
+ *    source. It stays valid until the next *successful* nextBlock()
+ *    call, a reset(), or the source's destruction — whichever comes
+ *    first. A nextBlock() that reports exhaustion (returns false)
+ *    never invalidates earlier spans. Sources backed by stable storage
+ *    (BorrowedTraceSource) keep earlier spans valid for the source's
+ *    lifetime, but callers must not rely on that: a streaming source
+ *    may recycle an internal block buffer on every delivery.
  *  - Callers that need records to outlive the iteration must copy
  *    them (see materializeTrace()).
  */
@@ -101,106 +99,12 @@ class TraceSource
         panic("trace source has no columnar path "
               "(check supportsColumns() first)");
     }
-
-    /**
-     * Fetch the next record.
-     *
-     * @deprecated Compatibility shim over nextBlock(): it pays a
-     * virtual call and a record copy per instruction, which is exactly
-     * the per-record cost the batched API removes (see docs/PERF.md).
-     * New code must iterate spans; the project lint
-     * (`trace-per-record`) flags new per-record loops.
-     *
-     * @param out Filled with the next record on success.
-     * @retval true A record was produced.
-     * @retval false The trace is exhausted.
-     */
-    bool
-    next(TraceRecord &out)
-    {
-        TraceSpan block;
-        if (!nextBlock(block, 1))
-            return false;
-        out = block.front();
-        return true;
-    }
-};
-
-/** Trace source backed by an in-memory vector of records. */
-class VectorTraceSource : public TraceSource
-{
-  public:
-    explicit VectorTraceSource(std::vector<TraceRecord> trace_records)
-        : backing(std::move(trace_records))
-    {}
-
-    bool
-    nextBlock(TraceSpan &out,
-              std::size_t max_records = defaultBlockRecords) override
-    {
-        const std::size_t remaining = backing.size() - position;
-        if (remaining == 0) {
-            out = TraceSpan();
-            return false;
-        }
-        const std::size_t count =
-            max_records < remaining ? max_records : remaining;
-        out = TraceSpan(backing.data() + position, count);
-        position += count;
-        return true;
-    }
-
-    void reset() override { position = 0; }
-
-    bool supportsColumns() const override { return true; }
-
-    bool
-    nextColumns(TraceColumns &out,
-                std::size_t max_records = defaultBlockRecords) override
-    {
-        const std::size_t remaining = backing.size() - position;
-        if (remaining == 0) {
-            out = TraceColumns();
-            return false;
-        }
-        // One-time transpose, amortized across every subsequent pass
-        // (figure sweeps re-run the same captured trace many times).
-        if (soa.size() != backing.size())
-            soa.assign(TraceSpan(backing));
-        const std::size_t count =
-            max_records < remaining ? max_records : remaining;
-        out = soa.columns(position, count);
-        position += count;
-        return true;
-    }
-
-    /** Number of records in the backing vector. */
-    std::size_t size() const { return backing.size(); }
-
-    /** Random access for analyses that need to revisit records. */
-    const TraceRecord &at(std::size_t index) const
-    {
-        return backing[index];
-    }
-
-    /**
-     * The full backing vector, independent of the cursor. Pairs with
-     * size()/reset(): callers that need the whole trace (cross-check
-     * re-simulation, figure tables) borrow it here instead of
-     * re-reading the stream record by record.
-     */
-    const std::vector<TraceRecord> &records() const { return backing; }
-
-  private:
-    std::vector<TraceRecord> backing;
-    TraceSoa soa;
-    std::size_t position = 0;
 };
 
 /**
  * Zero-copy trace source over records owned elsewhere (a captured
- * TraceHandle, a VectorTraceSource's backing store, a memory-mapped
- * file). The viewed storage must outlive the source.
+ * TraceHandle, a test's vector, a memory-mapped file). The viewed
+ * storage must outlive the source.
  */
 class BorrowedTraceSource : public TraceSource
 {
@@ -278,7 +182,7 @@ class BorrowedTraceSource : public TraceSource
  * Obtain @p source's full remaining contents as one contiguous span,
  * rewinding first.
  *
- * Sources whose backing store is already contiguous (vector/borrowed)
+ * Sources whose backing store is already contiguous (borrowed)
  * deliver it as a single borrowed block and @p storage stays empty;
  * otherwise the blocks are copied into @p storage and the returned
  * span views that. Either way the span is valid while both @p source

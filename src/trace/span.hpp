@@ -165,9 +165,9 @@ struct TraceColumns
 
 /**
  * Owning SoA backing store for trace records: the parallel arrays a
- * TraceColumns view points into. Sources that can afford a one-time
- * transpose (VectorTraceSource) or that decode records field-by-field
- * anyway (the trace-file readers) build one of these and serve
+ * TraceColumns view points into. Callers that can afford a one-time
+ * transpose of a captured trace, and the trace-file readers (which
+ * decode records field-by-field anyway), build one of these and serve
  * columnar blocks at zero per-block cost.
  */
 class TraceSoa

@@ -34,6 +34,19 @@ isQuarantineName(const std::string &filename)
     return filename.rfind(".corrupt-", 0) == 0;
 }
 
+/** ok() for a key the store can serve, kInternal for any other version. */
+Status
+checkKeyVersion(const TraceCacheKey &key)
+{
+    if (key.formatVersion == traceFormatVersionV3)
+        return Status::ok();
+    return Status::error(
+        StatusCode::kInternal,
+        "trace cache key has format v" +
+            std::to_string(key.formatVersion) + "; only v" +
+            std::to_string(traceFormatVersionV3) + " is supported");
+}
+
 void
 backoff(int attempt)
 {
@@ -190,18 +203,21 @@ TraceCacheStore::tryLoad(const TraceCacheKey &key,
 {
     panicIf(out == nullptr || error == nullptr,
             "tryLoad needs output parameters");
-    *error = Status::ok();
+    *error = checkKeyVersion(key);
+    if (!error->isOk()) {
+        noteError(*error);
+        ++missCount;
+        return false;
+    }
     const std::string path = pathFor(key);
     if (!std::filesystem::exists(path)) {
         ++missCount;
         return false;
     }
 
-    const bool v3 = key.formatVersion >= traceFormatVersionV3;
     Status read = Status::ok();
     for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
-        read = v3 ? readTraceV3(path, out, salvageBlocks)
-                  : readTrace(path, out);
+        read = readTraceV3(path, out, salvageBlocks);
         if (read.isOk()) {
             ++hitCount;
             return true;
@@ -239,39 +255,11 @@ Status
 TraceCacheStore::store(const TraceCacheKey &key,
                        const std::vector<TraceRecord> &records) const
 {
-    const std::string path = pathFor(key);
-    // Unique temporary per process: concurrent bench processes sharing
-    // the cache dir race benignly (last rename wins, both files valid).
-    const std::string temp =
-        path + ".tmp." + std::to_string(::getpid());
-
-    // The v3 writer fsyncs in finish(), so the rename below publishes
-    // a fully durable entry even if the machine dies right after — and
-    // an ENOSPC mid-write fails here, on the temporary, never the
-    // published name.
-    const bool v3 = key.formatVersion >= traceFormatVersionV3;
-    Status result = Status::ok();
-    for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
-        result = v3 ? writeTraceV3(temp, records)
-                    : writeTrace(temp, records);
-        if (result.isOk()) {
-            result = io::renameFile(temp, path);
-            if (result.isOk())
-                return result;
-            result = Status::error(result.code(),
-                                   "cannot publish trace cache entry: " +
-                                       result.message());
-        }
-        // Best-effort cleanup of our own temporary; the reaper catches
-        // anything a failed remove leaves behind.
-        (void)io::removeFile(temp);
-        if (result.code() != StatusCode::kIo)
-            break;
-        if (attempt < maxIoAttempts)
-            backoff(attempt);
-    }
-    noteError(result);
-    return result;
+    return storeStreaming(
+        key, [&records](const std::function<Status(
+                            const std::vector<TraceRecord> &)> &append) {
+            return append(records);
+        });
 }
 
 Status
@@ -281,20 +269,20 @@ TraceCacheStore::storeStreaming(
         const std::function<Status(const std::vector<TraceRecord> &)>
             &)> &produce) const
 {
-    // Streaming is a v3-only property: the append-only block framing is
-    // what lets a capture go straight to disk. Pre-v3 keys exist only in
-    // format-compatibility tests; their captures stay materialized.
-    if (key.formatVersion < traceFormatVersionV3) {
-        return Status::error(
-            StatusCode::kInternal,
-            "streaming store requires trace format v3 (key has v" +
-                std::to_string(key.formatVersion) + ")");
+    if (Status checked = checkKeyVersion(key); !checked.isOk()) {
+        noteError(checked);
+        return checked;
     }
 
     const std::string path = pathFor(key);
+    // Unique temporary per process: concurrent bench processes sharing
+    // the cache dir race benignly (last rename wins, both files valid).
     const std::string temp =
         path + ".tmp." + std::to_string(::getpid());
 
+    // finish() fsyncs, so the rename below publishes a fully durable
+    // entry even if the machine dies right after — and an ENOSPC
+    // mid-write fails here, on the temporary, never the published name.
     Status result = Status::ok();
     for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
         TraceV3Writer writer;
@@ -320,6 +308,8 @@ TraceCacheStore::storeStreaming(
                                    "cannot publish trace cache entry: " +
                                        result.message());
         }
+        // Best-effort cleanup of our own temporary; the reaper catches
+        // anything a failed remove leaves behind.
         (void)io::removeFile(temp);
         if (result.code() != StatusCode::kIo)
             break;

@@ -13,7 +13,7 @@
 #include <unordered_map>
 
 #include "common/io.hpp"
-#include "trace/trace_io.hpp"
+#include "trace/trace_v3.hpp"
 
 namespace vpsim_lint_fixture
 {
@@ -23,11 +23,11 @@ seededStatusDiscard(const std::vector<vpsim::TraceRecord> &records)
 {
     // [status-discard] A write whose failure vanishes: the sweep would
     // publish numbers from a trace that never landed on disk.
-    vpsim::writeTrace("/tmp/fixture.vptrace", records); // lint:expect status-discard
+    vpsim::writeTraceV3("/tmp/fixture.vptrace", records); // lint:expect status-discard
 
     // Consumed calls must NOT fire.
     const vpsim::Status kept =
-        vpsim::writeTrace("/tmp/fixture2.vptrace", records);
+        vpsim::writeTraceV3("/tmp/fixture2.vptrace", records);
     if (!kept.isOk())
         return;
 
@@ -122,33 +122,6 @@ class SeededRawMutex
 };
 
 std::uint64_t
-seededPerRecordLoop(vpsim::TraceSource &source)
-{
-    // [trace-per-record] The deprecated one-record shim in a loop: a
-    // virtual call per instruction where nextBlock() would amortize
-    // it over a whole span.
-    vpsim::TraceRecord record;
-    std::uint64_t count = 0;
-    while (source.next(record)) // lint:expect trace-per-record
-        ++count;
-
-    // The batched API must NOT fire.
-    vpsim::TraceSpan block;
-    while (source.nextBlock(block))
-        count += block.size();
-
-    // std::next and other free next() calls must NOT fire either.
-    std::vector<int> values{1, 2, 3};
-    count += static_cast<std::uint64_t>(*std::next(values.begin()));
-
-    // Suppressed, justified shim use must NOT fire.
-    // lint:allow trace-per-record — fixture models a measured baseline.
-    while (source.next(record))
-        ++count;
-    return count;
-}
-
-std::uint64_t
 seededWholeTraceMaterialization(vpsim::TraceSource &source)
 {
     // [trace-materialize] Buffering the whole trace: on the streaming
@@ -157,14 +130,10 @@ seededWholeTraceMaterialization(vpsim::TraceSource &source)
     std::vector<vpsim::TraceRecord> storage;
     const vpsim::TraceSpan all = vpsim::materializeTrace(source, storage); // lint:expect trace-materialize
 
-    // The records() accessor materializes just the same.
-    vpsim::VectorTraceSource vec({});
-    std::uint64_t count = vec.records().size(); // lint:expect trace-materialize
-
     // A local named `records` holding a span must NOT fire: only the
-    // member call and the free function count as materialization.
+    // free function counts as materialization.
     const vpsim::TraceSpan records = all;
-    count += records.size();
+    std::uint64_t count = records.size();
 
     // Suppressed, justified materialization must NOT fire.
     // lint:allow trace-materialize — fixture input is known-small.

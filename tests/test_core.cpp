@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ideal_machine.hpp"
+#include "core/ideal_sweep.hpp"
 #include "core/pipeline_machine.hpp"
 #include "core/reference_machine.hpp"
 #include "core/speedup.hpp"
@@ -653,13 +654,26 @@ expectSameIdealResult(const IdealMachineResult &a,
     EXPECT_EQ(a.execCycle, b.execCycle);
 }
 
-/** Long enough to cross several defaultBlockRecords boundaries. */
+/**
+ * Long enough to cross several defaultBlockRecords boundaries. The
+ * loop and the noisy same-pc tail repeat pcs, so the value predictor
+ * makes both correct and wrong predictions.
+ */
 std::vector<TraceRecord>
 longMixedTrace()
 {
     std::vector<TraceRecord> trace = serialChain(6000);
     const auto extra = independent(4500);
     trace.insert(trace.end(), extra.begin(), extra.end());
+    const auto loop = loopTrace(1500, 2);
+    trace.insert(trace.end(), loop.begin(), loop.end());
+    Value v = 99;
+    for (int i = 0; i < 2000; ++i) {
+        v = v * 6364136223846793005ull + 1442695040888963407ull;
+        TraceRecord record = rec(0, 1, 1, i % 16 == 0 ? v : i);
+        record.pc = 0x2000;
+        trace.push_back(record);
+    }
     for (SeqNum seq = 0; seq < trace.size(); ++seq)
         trace[seq].seq = seq;
     return trace;
@@ -673,7 +687,13 @@ TEST(IdealMachine, SourceOverloadMatchesVectorOverload)
         config.useValuePrediction = vp;
         const IdealMachineResult from_vector =
             runIdealMachine(trace, config, /*keep_schedule=*/true);
-        VectorTraceSource source{trace};
+        // The vector overload walks AoS spans; this source serves the
+        // columnar (SoA) loop, so the two engines are checked against
+        // each other.
+        TraceSoa soa;
+        soa.assign(TraceSpan(trace));
+        BorrowedTraceSource source{TraceSpan(trace), soa.columns()};
+        ASSERT_TRUE(source.supportsColumns());
         const IdealMachineResult from_source =
             runIdealMachine(source, config, /*keep_schedule=*/true);
         expectSameIdealResult(from_vector, from_source);
@@ -682,11 +702,30 @@ TEST(IdealMachine, SourceOverloadMatchesVectorOverload)
 
 TEST(IdealMachine, SpeedupOverloadsAgree)
 {
-    const auto trace = serialChain(5000);
+    const auto trace = longMixedTrace();
     IdealMachineConfig config;
-    VectorTraceSource source{trace};
+    // The vector overload walks AoS spans; this source serves column
+    // blocks, so the fused columnar path (computeOutcomes, then the
+    // replay with VP off and on) is checked against the row path.
+    TraceSoa soa;
+    soa.assign(TraceSpan(trace));
+    BorrowedTraceSource source{TraceSpan(trace), soa.columns()};
+    ASSERT_TRUE(source.supportsColumns());
     EXPECT_DOUBLE_EQ(idealVpSpeedup(trace, config),
                      idealVpSpeedup(source, config));
+
+    for (const bool vp : {false, true}) {
+        config.useValuePrediction = vp;
+        IdealSweep sweep;
+        BorrowedTraceSource columns{TraceSpan(trace), soa.columns()};
+        const IdealMachineResult from_vector =
+            runIdealMachine(trace, config);
+        expectSameIdealResult(from_vector, sweep.run(columns, config));
+        if (vp) {
+            EXPECT_GT(from_vector.predictionsCorrect, 0u);
+            EXPECT_GT(from_vector.predictionsWrong, 0u);
+        }
+    }
 }
 
 // The reference and pipeline machines take spans only; a caller
@@ -700,7 +739,7 @@ TEST(ReferenceMachine, MaterializedSourceMatchesSpanOverload)
     config.useValuePrediction = true;
     const IdealMachineResult from_span =
         runReferenceIdealMachine(TraceSpan(trace), config);
-    VectorTraceSource source{trace};
+    BorrowedTraceSource source{TraceSpan(trace)};
     std::vector<TraceRecord> storage;
     const IdealMachineResult from_source = runReferenceIdealMachine(
         materializeTrace(source, storage), config);
@@ -713,7 +752,7 @@ TEST(PipelineMachine, MaterializedSourceMatchesSpanOverload)
     PipelineConfig config;
     config.useValuePrediction = true;
     const PipelineResult from_span = runPipelineMachine(trace, config);
-    VectorTraceSource source{trace};
+    BorrowedTraceSource source{TraceSpan(trace)};
     std::vector<TraceRecord> storage;
     const PipelineResult from_source = runPipelineMachine(
         materializeTrace(source, storage), config);

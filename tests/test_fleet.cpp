@@ -303,7 +303,7 @@ TEST_F(ResultStoreTest, FuzzedCorruptionNeverYieldsWrongData)
     // The supervisor trusts load() blindly, so a damaged file must
     // either fail cleanly or parse to exactly what was stored — never
     // to different values. Fuzz the same corruption families the
-    // trace-format fuzzer uses: truncation at every prefix class,
+    // trace-file fuzzer uses: truncation at every prefix class,
     // single bit flips everywhere, and appended garbage.
     ResultStore store(dir.string(), 0x5eedu);
     const ShardResult in = sampleResult(3, 9);

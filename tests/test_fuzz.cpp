@@ -19,7 +19,6 @@
 #include "common/rng.hpp"
 #include "core/ideal_machine.hpp"
 #include "core/pipeline_machine.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/trace_v3.hpp"
 #include "vm/interpreter.hpp"
 #include "vm/program_builder.hpp"
@@ -211,99 +210,6 @@ TEST_P(FuzzSweep, VpNeverBreaksCorrectness)
     EXPECT_EQ(off.instructions, on.instructions);
 }
 
-TEST_P(FuzzSweep, TraceFilesRoundTrip)
-{
-    const auto trace = fuzzTrace(GetParam());
-    const std::string path =
-        "/tmp/vpsim_fuzz_" + std::to_string(GetParam()) + ".vptrace";
-    writeTraceFile(path, trace);
-    const auto reloaded = readTraceFile(path);
-    ASSERT_EQ(reloaded.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); i += 97) {
-        EXPECT_EQ(reloaded[i].pc, trace[i].pc);
-        EXPECT_EQ(reloaded[i].result, trace[i].result);
-    }
-    std::remove(path.c_str());
-}
-
-TEST_P(FuzzSweep, CorruptTraceFilesNeverCrashTheReader)
-{
-    // Satellite of the robustness work: whatever bytes are on disk, the
-    // Status-returning reader must answer — ok for the pristine file,
-    // non-ok for every mutation — and never crash, hang, or over-
-    // allocate (the header's record count is untrusted).
-    const auto trace = fuzzTrace(GetParam());
-    const std::string path = "/tmp/vpsim_fuzz_corrupt_" +
-                             std::to_string(GetParam()) + ".vptrace";
-    writeTraceFile(path, trace);
-
-    std::vector<unsigned char> pristine;
-    {
-        std::FILE *file = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(file, nullptr);
-        std::fseek(file, 0, SEEK_END);
-        pristine.resize(static_cast<std::size_t>(std::ftell(file)));
-        std::fseek(file, 0, SEEK_SET);
-        ASSERT_EQ(std::fread(pristine.data(), 1, pristine.size(), file),
-                  pristine.size());
-        std::fclose(file);
-    }
-    ASSERT_GE(pristine.size(), 20u); // header + footer at minimum
-
-    const auto rewrite = [&](const std::vector<unsigned char> &bytes) {
-        std::FILE *file = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(file, nullptr);
-        if (!bytes.empty()) {
-            ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file),
-                      bytes.size());
-        }
-        std::fclose(file);
-    };
-
-    std::vector<TraceRecord> out;
-
-    // Truncation at every section boundary: inside the header, at the
-    // header/record seam, at each of the first record boundaries, and
-    // inside the footer.
-    std::vector<std::size_t> cuts = {0, 1, 8, 15, 16,
-                                     pristine.size() - 4,
-                                     pristine.size() - 2,
-                                     pristine.size() - 1};
-    for (std::size_t k = 1; k <= 4; ++k) {
-        const std::size_t boundary = 16 + 45 * k;
-        if (boundary < pristine.size())
-            cuts.push_back(boundary);
-    }
-    for (const std::size_t cut : cuts) {
-        rewrite({pristine.begin(),
-                 pristine.begin() + static_cast<std::ptrdiff_t>(cut)});
-        const Status read = readTrace(path, &out);
-        EXPECT_FALSE(read.isOk())
-            << "truncation at byte " << cut << " must be detected";
-    }
-
-    // Random single-byte flips anywhere in the file. XOR with a
-    // non-zero value guarantees the byte actually changes.
-    Rng rng(GetParam() * 7919 + 1);
-    for (int trial = 0; trial < 40; ++trial) {
-        auto mutated = pristine;
-        const auto at = static_cast<std::size_t>(
-            rng.nextBelow(mutated.size()));
-        mutated[at] ^= static_cast<unsigned char>(
-            1 + rng.nextBelow(255));
-        rewrite(mutated);
-        const Status read = readTrace(path, &out);
-        EXPECT_FALSE(read.isOk())
-            << "flipped byte " << at << " must fail the checksum";
-    }
-
-    // The pristine bytes still read back fine.
-    rewrite(pristine);
-    EXPECT_TRUE(readTrace(path, &out).isOk());
-    EXPECT_EQ(out.size(), trace.size());
-    std::remove(path.c_str());
-}
-
 /** One v3 block frame located by walking the pristine file bytes. */
 struct V3BlockInfo
 {
@@ -337,6 +243,108 @@ walkV3Blocks(const std::vector<unsigned char> &bytes)
         off += v3BlockFrameBytes + info.payloadBytes + 4;
     }
     return blocks;
+}
+
+TEST_P(FuzzSweep, TraceFilesRoundTrip)
+{
+    const auto trace = fuzzTrace(GetParam());
+    const std::string path =
+        "/tmp/vpsim_fuzz_" + std::to_string(GetParam()) + ".vptrace";
+    ASSERT_TRUE(writeTraceV3(path, trace).isOk());
+    std::vector<TraceRecord> reloaded;
+    ASSERT_TRUE(readTraceV3(path, &reloaded).isOk());
+    ASSERT_EQ(reloaded.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); i += 97) {
+        EXPECT_EQ(reloaded[i].pc, trace[i].pc);
+        EXPECT_EQ(reloaded[i].result, trace[i].result);
+    }
+    std::remove(path.c_str());
+}
+
+TEST_P(FuzzSweep, CorruptTraceFilesNeverCrashTheReader)
+{
+    // Whatever bytes are on disk, the strict Status-returning reader
+    // must answer — ok for the pristine file, non-ok for every
+    // mutation — and never crash, hang, or over-allocate (every count
+    // in a frame or trailer is untrusted).
+    const auto trace = fuzzTrace(GetParam());
+    ASSERT_FALSE(trace.empty());
+    const auto rpb = static_cast<std::uint32_t>(
+        std::max<std::size_t>(16, (trace.size() + 3) / 4));
+    const std::string path = "/tmp/vpsim_fuzz_corrupt_" +
+                             std::to_string(GetParam()) + ".vptrace";
+    ASSERT_TRUE(writeTraceV3(path, trace, rpb).isOk());
+
+    std::vector<unsigned char> pristine;
+    {
+        std::FILE *file = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(file, nullptr);
+        std::fseek(file, 0, SEEK_END);
+        pristine.resize(static_cast<std::size_t>(std::ftell(file)));
+        std::fseek(file, 0, SEEK_SET);
+        ASSERT_EQ(std::fread(pristine.data(), 1, pristine.size(), file),
+                  pristine.size());
+        std::fclose(file);
+    }
+    ASSERT_GE(pristine.size(), v3HeaderBytes + v3TrailerBytes);
+
+    const auto rewrite = [&](const std::vector<unsigned char> &bytes) {
+        std::FILE *file = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        if (!bytes.empty()) {
+            ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file),
+                      bytes.size());
+        }
+        std::fclose(file);
+    };
+
+    std::vector<TraceRecord> out;
+
+    // Truncation at every section boundary: inside the header, at the
+    // header/block seam, at and inside each block frame, at the
+    // block/trailer seam, and inside the trailer.
+    std::vector<std::size_t> cuts = {0, 1, 8, 15, v3HeaderBytes,
+                                     pristine.size() - v3TrailerBytes,
+                                     pristine.size() - 4,
+                                     pristine.size() - 2,
+                                     pristine.size() - 1};
+    for (const V3BlockInfo &block : walkV3Blocks(pristine)) {
+        cuts.push_back(block.offset);
+        cuts.push_back(block.offset + 4);
+        cuts.push_back(block.offset + v3BlockFrameBytes);
+        cuts.push_back(block.offset + v3BlockFrameBytes +
+                       block.payloadBytes / 2);
+        cuts.push_back(block.offset + v3BlockFrameBytes +
+                       block.payloadBytes + 2);
+    }
+    for (const std::size_t cut : cuts) {
+        rewrite({pristine.begin(),
+                 pristine.begin() + static_cast<std::ptrdiff_t>(cut)});
+        const Status read = readTraceV3(path, &out);
+        EXPECT_FALSE(read.isOk())
+            << "truncation at byte " << cut << " must be detected";
+    }
+
+    // Random single-byte flips anywhere in the file. XOR with a
+    // non-zero value guarantees the byte actually changes.
+    Rng rng(GetParam() * 7919 + 1);
+    for (int trial = 0; trial < 40; ++trial) {
+        auto mutated = pristine;
+        const auto at = static_cast<std::size_t>(
+            rng.nextBelow(mutated.size()));
+        mutated[at] ^= static_cast<unsigned char>(
+            1 + rng.nextBelow(255));
+        rewrite(mutated);
+        const Status read = readTraceV3(path, &out);
+        EXPECT_FALSE(read.isOk())
+            << "flipped byte " << at << " must fail validation";
+    }
+
+    // The pristine bytes still read back fine.
+    rewrite(pristine);
+    EXPECT_TRUE(readTraceV3(path, &out).isOk());
+    EXPECT_EQ(out.size(), trace.size());
+    std::remove(path.c_str());
 }
 
 TEST_P(FuzzSweep, V3SalvageRecoversExactlyTheIntactBlocks)

@@ -3,7 +3,8 @@
  * Tests for the on-disk trace cache: hit/miss behaviour, key
  * sensitivity (any parameter or format-version change must change the
  * entry path), corrupt-entry rejection with a useful error, and the
- * atomic store-then-reload round trip.
+ * atomic store-then-reload round trip. Entries are v3 files, so the
+ * byte offsets below aim at v3 block payloads.
  */
 
 #include <chrono>
@@ -69,7 +70,44 @@ TEST_F(TraceCacheTest, MissThenStoreThenHit)
     EXPECT_TRUE(error.isOk());
     EXPECT_EQ(cache.hits(), 1u);
     ASSERT_EQ(out.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); i += 41) {
+        EXPECT_EQ(out[i].pc, trace[i].pc);
+        EXPECT_EQ(out[i].nextPc, trace[i].nextPc);
+        EXPECT_EQ(out[i].result, trace[i].result);
+        EXPECT_EQ(out[i].op, trace[i].op);
+    }
     EXPECT_EQ(out.back().result, trace.back().result);
+
+    // The entry really is block-framed v3 on disk (version byte 3).
+    std::FILE *file = std::fopen(cache.pathFor(key).c_str(), "rb");
+    ASSERT_NE(file, nullptr);
+    unsigned char header[5] = {};
+    ASSERT_EQ(std::fread(header, 1, sizeof(header), file),
+              sizeof(header));
+    std::fclose(file);
+    EXPECT_EQ(std::memcmp(header, "VPTR", 4), 0);
+    EXPECT_EQ(header[4], traceFormatVersionV3);
+}
+
+TEST_F(TraceCacheTest, NonV3KeysAreRefused)
+{
+    TraceCacheStore cache(dir.string());
+    const auto trace = captureWorkloadTrace("go", 100);
+    TraceCacheKey key = keyFor("go", 100);
+    key.formatVersion = 2;
+
+    const Status stored = cache.store(key, trace);
+    ASSERT_FALSE(stored.isOk());
+    EXPECT_EQ(stored.code(), StatusCode::kInternal);
+    EXPECT_NE(stored.message().find("v2"), std::string::npos)
+        << stored.message();
+    EXPECT_FALSE(std::filesystem::exists(cache.pathFor(key)));
+
+    std::vector<TraceRecord> out;
+    Status error = Status::ok();
+    EXPECT_FALSE(cache.tryLoad(key, &out, &error));
+    EXPECT_EQ(error.code(), StatusCode::kInternal);
+    EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST_F(TraceCacheTest, EveryKeyFieldChangesThePath)
@@ -161,13 +199,16 @@ TEST_F(TraceCacheTest, ChecksumCorruptionIsQuarantinedAndRecaptured)
     const auto trace = captureWorkloadTrace("go", 400);
     ASSERT_TRUE(cache.store(key, trace).isOk());
 
-    // Flip one payload bit: structurally valid, checksum-invalid.
+    // Flip one bit in the first block's payload: structurally valid,
+    // checksum-invalid.
     const std::string path = cache.pathFor(key);
+    const long payload =
+        static_cast<long>(v3HeaderBytes + v3BlockFrameBytes) + 9;
     std::FILE *file = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(file, nullptr);
-    std::fseek(file, 16 + 9, SEEK_SET);
+    std::fseek(file, payload, SEEK_SET);
     const int byte = std::fgetc(file);
-    std::fseek(file, 16 + 9, SEEK_SET);
+    std::fseek(file, payload, SEEK_SET);
     std::fputc(byte ^ 0x01, file);
     std::fclose(file);
 
@@ -175,6 +216,10 @@ TEST_F(TraceCacheTest, ChecksumCorruptionIsQuarantinedAndRecaptured)
     Status error = Status::ok();
     EXPECT_FALSE(cache.tryLoad(key, &out, &error));
     ASSERT_FALSE(error.isOk());
+    EXPECT_EQ(error.code(), StatusCode::kCorrupt);
+    EXPECT_NE(error.message().find("checksum mismatch"),
+              std::string::npos)
+        << error.message();
     const std::string quarantine = cache.quarantinePathFor(key);
     EXPECT_NE(error.message().find("quarantined"), std::string::npos)
         << error.message();
@@ -243,11 +288,14 @@ TEST_F(TraceCacheTest, StoreRetriesTransientWriteFailures)
     ASSERT_TRUE(cache.store(key, trace).isOk())
         << "one EIO mid-write must be absorbed by the retry loop";
 
-    io::configureFaultInjection("read:1:eio");
+    // The first read fault fails the mapping (the reader falls back to
+    // buffered reads on its own); the second fails the buffered header
+    // read, so only the retry loop can turn this lookup into a hit.
+    io::configureFaultInjection("read:1:eio,read:2:eio");
     std::vector<TraceRecord> out;
     Status error = Status::ok();
     EXPECT_TRUE(cache.tryLoad(key, &out, &error))
-        << "one EIO on read must be absorbed by the retry loop: "
+        << "an EIO on read must be absorbed by the retry loop: "
         << error.message();
     EXPECT_EQ(out.size(), trace.size());
 }
@@ -257,7 +305,7 @@ TEST_F(TraceCacheTest, ExpiredQuarantineFilesAreGarbageCollected)
     std::filesystem::create_directories(dir);
     const auto old_corpse = dir / ".corrupt-go-i400.vptrace";
     const auto fresh_corpse = dir / ".corrupt-gcc-i400.vptrace";
-    const auto old_entry = dir / "go-i400-k0-s1-d0-v2.vptrace";
+    const auto old_entry = dir / "go-i400-k0-s1-d0-v3.vptrace";
     for (const auto &p : {old_corpse, fresh_corpse, old_entry}) {
         std::FILE *file = std::fopen(p.c_str(), "wb");
         ASSERT_NE(file, nullptr);
@@ -302,44 +350,12 @@ TEST_F(TraceCacheTest, QuarantineGcAgeZeroDisablesTheGc)
         << "--cache-gc-days 0 must keep evidence forever";
 }
 
-TEST_F(TraceCacheTest, V3EntriesRoundTripThroughTheCache)
-{
-    TraceCacheStore cache(dir.string());
-    const auto trace = captureWorkloadTrace("compress", 500);
-    TraceCacheKey key = keyFor("compress", 500);
-    key.formatVersion = traceFormatVersionV3;
-
-    std::vector<TraceRecord> out;
-    Status error = Status::ok();
-    EXPECT_FALSE(cache.tryLoad(key, &out, &error));
-    ASSERT_TRUE(cache.store(key, trace).isOk());
-    ASSERT_TRUE(cache.tryLoad(key, &out, &error));
-    EXPECT_TRUE(error.isOk());
-    ASSERT_EQ(out.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); i += 41) {
-        EXPECT_EQ(out[i].pc, trace[i].pc);
-        EXPECT_EQ(out[i].nextPc, trace[i].nextPc);
-        EXPECT_EQ(out[i].result, trace[i].result);
-        EXPECT_EQ(out[i].op, trace[i].op);
-    }
-
-    // The entry really is block-framed v3 on disk (version byte 3).
-    std::FILE *file = std::fopen(cache.pathFor(key).c_str(), "rb");
-    ASSERT_NE(file, nullptr);
-    unsigned char header[5] = {};
-    ASSERT_EQ(std::fread(header, 1, sizeof(header), file),
-              sizeof(header));
-    std::fclose(file);
-    EXPECT_EQ(header[4], 3u) << "v3 keys must store v3 bytes";
-}
-
 TEST_F(TraceCacheTest, SalvageModeLoadsADamagedV3EntryStrictQuarantines)
 {
     TraceCacheStore strict(dir.string());
     const auto trace = captureWorkloadTrace("go", 400);
     ASSERT_GE(trace.size(), 300u);
-    TraceCacheKey key = keyFor("go", 400);
-    key.formatVersion = traceFormatVersionV3;
+    const TraceCacheKey key = keyFor("go", 400);
     // Plant a multi-block entry directly (small blocks), so one rotted
     // block cannot take the whole capture with it.
     const std::string path = strict.pathFor(key);

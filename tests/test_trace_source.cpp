@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the batched trace-delivery API: TraceSpan, TraceSource
- * block iteration, the deprecated next() shim, and materializeTrace.
+ * block iteration, and materializeTrace.
  */
 
 #include <algorithm>
@@ -114,19 +114,17 @@ TEST(TraceSpan, SubspanAndFirstSlice)
 
 TEST(TraceSource, EmptyTraceExhaustsImmediately)
 {
-    VectorTraceSource source{std::vector<TraceRecord>{}};
+    BorrowedTraceSource source{TraceSpan()};
     TraceSpan block;
     EXPECT_FALSE(source.nextBlock(block));
     EXPECT_TRUE(block.empty());
-    TraceRecord record;
-    // lint:allow trace-per-record — asserts the shim's exhaustion
-    // contract; not a simulation loop.
-    EXPECT_FALSE(source.next(record));
+    EXPECT_FALSE(source.nextBlock(block, 1));
 }
 
 TEST(TraceSource, DeliversTailSmallerThanRequest)
 {
-    VectorTraceSource source{syntheticTrace(10)};
+    const auto records = syntheticTrace(10);
+    BorrowedTraceSource source{TraceSpan(records)};
     TraceSpan block;
     ASSERT_TRUE(source.nextBlock(block, 4));
     EXPECT_EQ(block.size(), 4u);
@@ -147,7 +145,8 @@ TEST(TraceSource, DeliversTailSmallerThanRequest)
 
 TEST(TraceSource, NoLimitDeliversEverythingContiguously)
 {
-    VectorTraceSource source{syntheticTrace(1000)};
+    const auto records = syntheticTrace(1000);
+    BorrowedTraceSource source{TraceSpan(records)};
     TraceSpan block;
     ASSERT_TRUE(source.nextBlock(block, TraceSpan::noLimit));
     EXPECT_EQ(block.size(), 1000u);
@@ -156,7 +155,8 @@ TEST(TraceSource, NoLimitDeliversEverythingContiguously)
 
 TEST(TraceSource, ResetMidBlockRestartsFromTheTop)
 {
-    VectorTraceSource source{syntheticTrace(10)};
+    const auto records = syntheticTrace(10);
+    BorrowedTraceSource source{TraceSpan(records)};
     TraceSpan block;
     ASSERT_TRUE(source.nextBlock(block, 4));
     ASSERT_TRUE(source.nextBlock(block, 4));
@@ -164,58 +164,6 @@ TEST(TraceSource, ResetMidBlockRestartsFromTheTop)
     ASSERT_TRUE(source.nextBlock(block, TraceSpan::noLimit));
     EXPECT_EQ(block.size(), 10u);
     EXPECT_EQ(block.front().seq, 0u);
-}
-
-TEST(TraceSource, ShimMatchesSpanIterationRecordForRecord)
-{
-    const auto records = captureWorkloadTrace("compress", 3000);
-    VectorTraceSource span_source{records};
-    VectorTraceSource shim_source{records};
-
-    std::vector<TraceRecord> via_span;
-    TraceSpan block;
-    while (span_source.nextBlock(block, 77))
-        via_span.insert(via_span.end(), block.begin(), block.end());
-
-    std::vector<TraceRecord> via_shim;
-    TraceRecord record;
-    // lint:allow trace-per-record — this test proves the deprecated
-    // shim and the span iteration agree record for record.
-    while (shim_source.next(record))
-        via_shim.push_back(record);
-
-    ASSERT_EQ(via_span.size(), records.size());
-    ASSERT_EQ(via_shim.size(), records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(via_span[i].seq, via_shim[i].seq);
-        EXPECT_EQ(via_span[i].pc, via_shim[i].pc);
-        EXPECT_EQ(via_span[i].result, via_shim[i].result);
-        EXPECT_EQ(via_span[i].rd, via_shim[i].rd);
-    }
-}
-
-TEST(TraceSource, VectorSourceServesSpansZeroCopy)
-{
-    auto records = syntheticTrace(100);
-    const TraceRecord *const data = records.data();
-    VectorTraceSource source{std::move(records)};
-    TraceSpan block;
-    ASSERT_TRUE(source.nextBlock(block, 64));
-    EXPECT_EQ(block.data(), data);
-    ASSERT_TRUE(source.nextBlock(block, 64));
-    EXPECT_EQ(block.data(), data + 64);
-    EXPECT_EQ(block.size(), 36u);
-}
-
-TEST(TraceSource, RecordsAccessorIsIndependentOfTheCursor)
-{
-    VectorTraceSource source{syntheticTrace(20)};
-    TraceSpan block;
-    ASSERT_TRUE(source.nextBlock(block, 15));
-    EXPECT_EQ(source.size(), 20u);
-    EXPECT_EQ(source.records().size(), 20u);
-    EXPECT_EQ(source.records().data(), block.data());
-    EXPECT_EQ(source.at(19).seq, 19u);
 }
 
 TEST(TraceSource, BorrowedSourceViewsForeignStorage)
@@ -227,6 +175,7 @@ TEST(TraceSource, BorrowedSourceViewsForeignStorage)
     ASSERT_TRUE(source.nextBlock(block, 30));
     EXPECT_EQ(block.data(), records.data());
     ASSERT_TRUE(source.nextBlock(block, 30));
+    EXPECT_EQ(block.data(), records.data() + 30);
     EXPECT_EQ(block.size(), 20u);
     source.reset();
     ASSERT_TRUE(source.nextBlock(block, TraceSpan::noLimit));
@@ -235,12 +184,13 @@ TEST(TraceSource, BorrowedSourceViewsForeignStorage)
 
 TEST(TraceSource, MaterializeIsZeroCopyForContiguousSources)
 {
-    VectorTraceSource source{syntheticTrace(200)};
+    const auto records = syntheticTrace(200);
+    BorrowedTraceSource source{TraceSpan(records)};
     std::vector<TraceRecord> storage;
     const TraceSpan span = materializeTrace(source, storage);
     EXPECT_EQ(span.size(), 200u);
     EXPECT_TRUE(storage.empty());
-    EXPECT_EQ(span.data(), source.records().data());
+    EXPECT_EQ(span.data(), records.data());
 }
 
 TEST(TraceSource, MaterializeCopiesFromStreamingSources)
@@ -258,7 +208,7 @@ TEST(TraceSource, MaterializeCopiesFromStreamingSources)
 
 TEST(TraceSource, MaterializeEmptySourceYieldsEmptySpan)
 {
-    VectorTraceSource source{std::vector<TraceRecord>{}};
+    BorrowedTraceSource source{TraceSpan()};
     std::vector<TraceRecord> storage;
     const TraceSpan span = materializeTrace(source, storage);
     EXPECT_TRUE(span.empty());
