@@ -2,8 +2,9 @@
  * @file
  * Component micro-benchmarks (google-benchmark): raw throughput of the
  * predictors, the branch predictor, the trace interpreter, the DID
- * collector, both machine models, and the experiment runtime (thread
- * pool scheduling overhead, trace-cache round trips). These guard
+ * collector, both machine models, the trace codec (v3 whole-file
+ * decode, CRC-32) and the experiment runtime (thread pool scheduling
+ * overhead, trace-cache round trips). These guard
  * against performance regressions that would make the figure sweeps
  * impractically slow.
  */
@@ -15,11 +16,13 @@
 
 #include "analysis/did.hpp"
 #include "bpred/two_level.hpp"
+#include "common/crc32.hpp"
 #include "common/thread_pool.hpp"
 #include "core/ideal_machine.hpp"
 #include "core/pipeline_machine.hpp"
 #include "predictor/factory.hpp"
 #include "trace/trace_cache_store.hpp"
+#include "trace/trace_v3.hpp"
 #include "workloads/workload.hpp"
 
 namespace
@@ -191,6 +194,41 @@ BM_ThreadPoolSubmitWait(benchmark::State &state)
 }
 
 void
+BM_TraceV3Decode(benchmark::State &state)
+{
+    // Whole-file read of a multi-block entry: the warm trace-cache hit
+    // minus the cache's own bookkeeping.
+    const auto path = std::filesystem::temp_directory_path() /
+        "vpsim-microbench-decode.vptrace";
+    static const std::vector<TraceRecord> trace =
+        captureWorkloadTrace("m88ksim", 400000);
+    const Status written = writeTraceV3(path.string(), trace);
+    if (!written.isOk())
+        state.SkipWithError(written.message().c_str());
+    for (auto _ : state) {
+        std::vector<TraceRecord> decoded;
+        const Status read = readTraceV3(path.string(), &decoded);
+        benchmark::DoNotOptimize(read.isOk());
+        benchmark::DoNotOptimize(decoded.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * trace.size()));
+    std::filesystem::remove(path);
+}
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<unsigned char> bytes(1 << 20);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<unsigned char>(i * 131 + (i >> 9));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(bytes.data(), bytes.size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * bytes.size()));
+}
+
+void
 BM_TraceCacheRoundTrip(benchmark::State &state)
 {
     const auto dir = std::filesystem::temp_directory_path() /
@@ -217,6 +255,8 @@ BM_TraceCacheRoundTrip(benchmark::State &state)
 
 BENCHMARK(BM_ThreadPoolSubmitWait)->Arg(1)->Arg(4);
 BENCHMARK(BM_TraceCacheRoundTrip);
+BENCHMARK(BM_TraceV3Decode);
+BENCHMARK(BM_Crc32);
 BENCHMARK(BM_LastValuePredictor);
 BENCHMARK(BM_StridePredictor);
 BENCHMARK(BM_StridePredictorFused);

@@ -47,6 +47,14 @@ trace-materialize
     overloads that still materialize carry justified suppressions.
     Tests are not linted for this rule.
 
+reserve-self-grow
+    `x.reserve(x.size() + n)` (or `x->reserve(x->size() + n)`) grows
+    the capacity by exactly n. Called once per batch, as in a
+    block-at-a-time reader, it defeats the vector's geometric growth:
+    every batch reallocates and copies everything read so far, so
+    loading is quadratic. Reserve the final size once up front, or let
+    push_back/insert/resize grow geometrically.
+
 Suppression: append `// lint:allow <rule>` (plus a justification) to
 the offending line.
 
@@ -83,7 +91,7 @@ EXEMPT = {
 ALLOW_RE = re.compile(r"lint:allow\s+([\w-]+)")
 
 RULES = ["status-discard", "sim-determinism", "unordered-iter",
-         "raw-mutex", "trace-materialize"]
+         "raw-mutex", "trace-materialize", "reserve-self-grow"]
 
 
 def strip_comments_and_strings(text):
@@ -380,6 +388,27 @@ def check_trace_materialize(path, text, raw_lines, report):
                "justification for a known-small input")
 
 
+# `obj.reserve(obj.size() +` / `obj->reserve(obj->size() +` on the same
+# object expression (a member-access chain such as `a.b` or `p->v`).
+RESERVE_SELF_GROW_RE = re.compile(
+    r"(?<![\w.>])(?P<obj>\w+(?:(?:\.|->)\w+)*)\s*(?P<op>\.|->)\s*"
+    r"reserve\s*\(\s*(?P=obj)\s*(?P=op)\s*size\s*\(\s*\)\s*\+")
+
+
+def check_reserve_self_grow(path, text, raw_lines, report):
+    for match in RESERVE_SELF_GROW_RE.finditer(text):
+        lineno = text.count("\n", 0, match.start()) + 1
+        if neighborhood_allows(raw_lines, lineno, "reserve-self-grow"):
+            continue
+        report(path, lineno, "reserve-self-grow",
+               "'%s%sreserve(%s%ssize() + ...)' grows the capacity by "
+               "exactly the increment: called per batch it reallocates "
+               "and copies everything so far each time (quadratic). "
+               "Reserve the final size once, or let the container grow "
+               "geometrically" % (match.group("obj"), match.group("op"),
+                                  match.group("obj"), match.group("op")))
+
+
 def lint_file(path, rel, status_functions, report):
     raw = path.read_text(encoding="utf-8")
     raw_lines = raw.splitlines()
@@ -405,6 +434,8 @@ def lint_file(path, rel, status_functions, report):
         check_raw_mutex(path, text, raw_lines, report)
     if gate("trace-materialize"):
         check_trace_materialize(path, text, raw_lines, report)
+    if gate("reserve-self-grow"):
+        check_reserve_self_grow(path, text, raw_lines, report)
 
 
 def run_lint(paths, root):

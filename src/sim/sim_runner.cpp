@@ -577,7 +577,10 @@ SimRunner::captureTrace(const std::string &name, std::uint64_t insts,
     if (use_cache) {
         std::vector<TraceRecord> records;
         Status error = Status::ok();
+        const auto load_start = std::chrono::steady_clock::now();
         if (cache->tryLoad(key, &records, &error)) {
+            cacheLoadMicros += microsSince(load_start);
+            ++cacheLoadsRun;
             return std::make_shared<const std::vector<TraceRecord>>(
                 std::move(records));
         }
@@ -719,13 +722,16 @@ SimRunner::reportStats() const
 {
     std::fprintf(stderr,
                  "sim: %llu jobs on %u threads, wall %.0f ms, "
-                 "job cpu %.0f ms (%llu VM captures, %.0f ms)\n",
+                 "job cpu %.0f ms (%llu VM captures, %.0f ms; "
+                 "%llu trace cache loads, %.0f ms)\n",
                  static_cast<unsigned long long>(jobsRun.load()),
                  pool.threadCount(),
                  static_cast<double>(wallMicros.load()) / 1000.0,
                  static_cast<double>(jobMicros.load()) / 1000.0,
                  static_cast<unsigned long long>(capturesRun.load()),
-                 static_cast<double>(captureMicros.load()) / 1000.0);
+                 static_cast<double>(captureMicros.load()) / 1000.0,
+                 static_cast<unsigned long long>(cacheLoadsRun.load()),
+                 static_cast<double>(cacheLoadMicros.load()) / 1000.0);
     if (cache) {
         std::fprintf(
             stderr, "trace cache: %llu hits, %llu misses (%s)\n",
@@ -801,12 +807,15 @@ SimRunner::reportStats() const
 
     // Publish through the stats registry for uniform tooling.
     Counter jobs_counter, job_micros, wall, captures, capture_time;
+    Counter cache_loads, cache_load_time;
     Counter cache_hits, cache_lookups, failed_jobs, resumed;
     jobs_counter += jobsRun.load();
     job_micros += jobMicros.load();
     wall += wallMicros.load();
     captures += capturesRun.load();
     capture_time += captureMicros.load();
+    cache_loads += cacheLoadsRun.load();
+    cache_load_time += cacheLoadMicros.load();
     StatGroup group("sim_runner");
     group.addCounter("jobs", jobs_counter, "simulation jobs executed");
     group.addCounter("job_micros", job_micros,
@@ -817,6 +826,10 @@ SimRunner::reportStats() const
                      "workload traces captured by the VM");
     group.addCounter("vm_capture_micros", capture_time,
                      "wall clock spent capturing traces (us)");
+    group.addCounter("trace_cache_loads", cache_loads,
+                     "traces loaded from the on-disk cache (hits)");
+    group.addCounter("trace_cache_load_micros", cache_load_time,
+                     "wall clock spent loading cache hits (us)");
     failed_jobs += failure_report.size();
     group.addCounter("failed_jobs", failed_jobs,
                      "jobs that threw under --keep-going");

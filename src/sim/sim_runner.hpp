@@ -324,6 +324,8 @@ class SimRunner
     std::atomic<std::uint64_t> wallMicros{0};
     std::atomic<std::uint64_t> capturesRun{0};
     std::atomic<std::uint64_t> captureMicros{0};
+    std::atomic<std::uint64_t> cacheLoadsRun{0};
+    std::atomic<std::uint64_t> cacheLoadMicros{0};
     /** recordSweep() totals (relaxed sums, read after the grid). */
     std::atomic<std::uint64_t> sweepPredictorPasses{0};
     std::atomic<std::uint64_t> sweepBaselineRuns{0};

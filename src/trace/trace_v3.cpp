@@ -24,6 +24,9 @@ constexpr char trailerMagic[4] = {'V', 'P', 'E', '3'};
 /** Upper bound on one record's encoded size (4 deltas + result + 4). */
 constexpr std::size_t maxEncodedRecordBytes = 5 * maxVarintBytes + 4;
 
+/** Lower bound on the same: five one-byte varints + 4 fixed bytes. */
+constexpr std::size_t minEncodedRecordBytes = 5 + 4;
+
 /** Cap on records-per-block so a corrupt header can't balloon memory. */
 constexpr std::uint32_t maxRecordsPerBlock = 1u << 22;
 
@@ -77,55 +80,64 @@ injectedBlockCorruption(const std::string &path)
     return kind != io::FaultKind::None;
 }
 
-/** Encode @p records as one block payload into @p out (appended). */
-void
-encodeBlockPayload(std::vector<unsigned char> &out, TraceSpan records)
+/**
+ * Encode @p records as one block payload at @p out, which must have
+ * room for records.size() * maxEncodedRecordBytes bytes.
+ *
+ * @return The payload's encoded length.
+ */
+std::size_t
+encodeBlockPayload(TraceSpan records, unsigned char *out)
 {
+    unsigned char *p = out;
     SeqNum prev_seq = 0;
     Addr prev_pc = 0;
     Addr prev_mem = 0;
     for (std::size_t i = 0; i < records.size(); ++i) {
         const TraceRecord &r = records[i];
         if (i == 0) {
-            putVarint(out, r.seq);
-            putVarint(out, r.pc);
+            putVarint(p, r.seq);
+            putVarint(p, r.pc);
         } else {
-            putSignedVarint(out, static_cast<std::int64_t>(
-                                     r.seq - (prev_seq + 1)));
-            putSignedVarint(out,
-                            static_cast<std::int64_t>(r.pc - prev_pc));
+            putSignedVarint(p, static_cast<std::int64_t>(
+                                   r.seq - (prev_seq + 1)));
+            putSignedVarint(p, static_cast<std::int64_t>(r.pc - prev_pc));
         }
-        putSignedVarint(out, static_cast<std::int64_t>(
-                                 r.nextPc - r.fallThrough()));
+        putSignedVarint(p, static_cast<std::int64_t>(r.nextPc -
+                                                     r.fallThrough()));
         if (i == 0)
-            putVarint(out, r.memAddr);
+            putVarint(p, r.memAddr);
         else
-            putSignedVarint(out, static_cast<std::int64_t>(r.memAddr -
-                                                           prev_mem));
-        putVarint(out, r.result);
-        out.push_back(static_cast<unsigned char>(
-            static_cast<unsigned char>(r.op) |
-            (r.taken ? 0x80u : 0x00u)));
-        out.push_back(r.rd);
-        out.push_back(r.rs1);
-        out.push_back(r.rs2);
+            putSignedVarint(p, static_cast<std::int64_t>(r.memAddr -
+                                                         prev_mem));
+        putVarint(p, r.result);
+        p[0] = static_cast<unsigned char>(static_cast<unsigned char>(r.op) |
+                                          (r.taken ? 0x80u : 0x00u));
+        p[1] = r.rd;
+        p[2] = r.rs1;
+        p[3] = r.rs2;
+        p += 4;
         prev_seq = r.seq;
         prev_pc = r.pc;
         prev_mem = r.memAddr;
     }
+    return static_cast<std::size_t>(p - out);
 }
 
 /**
- * Decode one block payload of @p count records into @p out (replaced).
- * All deltas reset at the block boundary, so this needs nothing from
- * neighbouring blocks. False on any malformed encoding.
+ * Decode one block payload of @p count records, handing each record to
+ * @p emit in order. All deltas reset at the block boundary, so this
+ * needs nothing from neighbouring blocks. False on any malformed
+ * encoding (records already emitted are then garbage to the caller).
+ *
+ * This is the one varint walker: the record path emits straight into
+ * its output array and the columnar path scatters into a TraceSoa.
  */
+template <class Emit>
 bool
 decodeBlockPayload(const unsigned char *payload, std::size_t size,
-                   std::uint32_t count, TraceSoa *out)
+                   std::uint32_t count, Emit &&emit)
 {
-    out->clear();
-    out->reserve(count);
     const unsigned char *p = payload;
     const unsigned char *end = payload + size;
     SeqNum prev_seq = 0;
@@ -167,16 +179,17 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
         r.result = raw;
         if (end - p < 4)
             return false;
-        const unsigned char op_taken = *p++;
+        const unsigned char op_taken = p[0];
         const unsigned char op_byte = op_taken & 0x7fu;
         if (op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes))
             return false;
         r.op = static_cast<OpCode>(op_byte);
         r.taken = (op_taken & 0x80u) != 0;
-        r.rd = *p++;
-        r.rs1 = *p++;
-        r.rs2 = *p++;
-        out->push_back(r);
+        r.rd = p[1];
+        r.rs1 = p[2];
+        r.rs2 = p[3];
+        p += 4;
+        emit(r);
         prev_seq = r.seq;
         prev_pc = r.pc;
         prev_mem = r.memAddr;
@@ -288,31 +301,51 @@ TraceV3Writer::append(TraceSpan records)
                                  ": " + std::strerror(err) +
                                  " (injected)");
     }
-    pending.insert(pending.end(), records.begin(), records.end());
-    while (pending.size() >= recordsPerBlock) {
-        if (Status put = flushBlock(); !put.isOk())
-            return put;
+    // Top up a partial block first, then encode whole blocks straight
+    // from the caller's span: only a ragged tail is copied to pending.
+    TraceSpan rest = records;
+    if (!pending.empty()) {
+        const std::size_t take = std::min<std::size_t>(
+            recordsPerBlock - pending.size(), rest.size());
+        pending.insert(pending.end(), rest.begin(), rest.begin() + take);
+        rest = rest.subspan(take);
+        if (pending.size() == recordsPerBlock) {
+            if (Status put = putBlock(pending); !put.isOk())
+                return put;
+            pending.clear();
+        }
     }
+    for (; rest.size() >= recordsPerBlock;
+         rest = rest.subspan(recordsPerBlock)) {
+        if (Status put = putBlock(rest.first(recordsPerBlock));
+            !put.isOk()) {
+            return put;
+        }
+    }
+    pending.insert(pending.end(), rest.begin(), rest.end());
     totalRecords += records.size();
     return Status::ok();
 }
 
 Status
-TraceV3Writer::flushBlock()
+TraceV3Writer::putBlock(TraceSpan block)
 {
-    const std::size_t count = std::min<std::size_t>(pending.size(),
-                                                    recordsPerBlock);
-    panicIf(count == 0, "flushBlock with no pending records");
-    scratch.clear();
-    encodeBlockPayload(scratch, TraceSpan(pending.data(), count));
+    panicIf(block.empty(), "putBlock with no records");
+    // Sized for the worst case once and reused: every byte is written
+    // through a raw pointer and only the encoded prefix goes to disk.
+    const std::size_t worst = block.size() * maxEncodedRecordBytes;
+    if (scratch.size() < worst)
+        scratch.resize(worst);
+    const std::size_t payload_bytes =
+        encodeBlockPayload(block, scratch.data());
 
     unsigned char frame_header[v3BlockFrameBytes];
     std::memcpy(frame_header, blockMagic, 4);
-    packU32(frame_header + 4, static_cast<std::uint32_t>(count));
-    packU32(frame_header + 8, static_cast<std::uint32_t>(scratch.size()));
+    packU32(frame_header + 4, static_cast<std::uint32_t>(block.size()));
+    packU32(frame_header + 8, static_cast<std::uint32_t>(payload_bytes));
     Crc32 crc;
     crc.update(frame_header, sizeof(frame_header));
-    crc.update(scratch.data(), scratch.size());
+    crc.update(scratch.data(), payload_bytes);
     unsigned char footer[4];
     packU32(footer, crc.value());
 
@@ -321,7 +354,7 @@ TraceV3Writer::flushBlock()
         return Status::error(put.code(),
                              "trace block frame: " + put.message());
     }
-    if (Status put = file.writeAll(scratch.data(), scratch.size());
+    if (Status put = file.writeAll(scratch.data(), payload_bytes);
         !put.isOk()) {
         return Status::error(put.code(),
                              "trace block payload: " + put.message());
@@ -329,8 +362,6 @@ TraceV3Writer::flushBlock()
     if (Status put = file.writeAll(footer, sizeof(footer)); !put.isOk())
         return Status::error(put.code(),
                              "trace block footer: " + put.message());
-    pending.erase(pending.begin(),
-                  pending.begin() + static_cast<std::ptrdiff_t>(count));
     ++totalBlocks;
     return Status::ok();
 }
@@ -339,9 +370,10 @@ Status
 TraceV3Writer::finish()
 {
     panicIf(!isOpen(), "finish on closed TraceV3Writer");
-    while (!pending.empty()) {
-        if (Status put = flushBlock(); !put.isOk())
+    if (!pending.empty()) {
+        if (Status put = putBlock(pending); !put.isOk())
             return put;
+        pending.clear();
     }
     unsigned char trailer[v3TrailerBytes];
     std::memcpy(trailer, trailerMagic, 4);
@@ -534,12 +566,16 @@ TraceV3Reader::handleCorrupt(const Status &why,
     return resync();
 }
 
+/**
+ * The framing and validation loop behind nextBlock() and appendBlock():
+ * finds the next intact block and hands its CRC-checked payload to
+ * @p decode(payload, bytes, count), which returns false on a malformed
+ * encoding. Damage handling is the same for every output layout.
+ */
+template <class Decode>
 Status
-TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
+TraceV3Reader::readBlock(Decode &&decode, Block *outcome)
 {
-    panicIf(!opened, "nextBlock on closed TraceV3Reader");
-    panicIf(out == nullptr || outcome == nullptr,
-            "nextBlock needs output parameters");
     if (done) {
         *outcome = Block::kEnd;
         return Status::ok();
@@ -665,7 +701,7 @@ TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
         const std::uint32_t payload_bytes = unpackU32(frame_header + 8);
         const bool sane =
             count >= 1 && count <= blockRecords &&
-            payload_bytes >= count * 9 &&
+            payload_bytes >= count * minEncodedRecordBytes &&
             payload_bytes <= static_cast<std::uint64_t>(count) *
                                  maxEncodedRecordBytes;
         if (!sane) {
@@ -729,7 +765,8 @@ TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
             continue;
         }
 
-        if (!decodeBlockPayload(payload, payload_bytes, count, out)) {
+        if (!decode(payload, static_cast<std::size_t>(payload_bytes),
+                    count)) {
             if (Status handled = handleCorrupt(
                     corrupt("corrupt record encoding in block " +
                             std::to_string(report.blocksDelivered) +
@@ -745,6 +782,77 @@ TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
         *outcome = Block::kDelivered;
         return Status::ok();
     }
+}
+
+Status
+TraceV3Reader::peekTrailerRecords(std::uint64_t *records) const
+{
+    panicIf(!opened, "peekTrailerRecords on closed TraceV3Reader");
+    *records = 0;
+    if (!mapped.isMapped() ||
+        mapped.size() < v3HeaderBytes + v3TrailerBytes) {
+        return Status::ok();
+    }
+    const unsigned char *t = mapped.data() + mapped.size() - v3TrailerBytes;
+    if (std::memcmp(t, trailerMagic, 4) != 0 ||
+        unpackU32(t + 20) != crc32(t, 20)) {
+        return Status::ok();
+    }
+    const std::uint64_t declared = unpackU64(t + 4);
+    const std::uint64_t most =
+        (mapped.size() - v3HeaderBytes - v3TrailerBytes) /
+        minEncodedRecordBytes;
+    if (declared > most) {
+        return corrupt("trace trailer mismatch in " + filePath +
+                       " (declared " + std::to_string(declared) +
+                       " records, but " + std::to_string(mapped.size()) +
+                       " bytes hold at most " + std::to_string(most) + ")");
+    }
+    *records = declared;
+    return Status::ok();
+}
+
+Status
+TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
+{
+    panicIf(!opened, "nextBlock on closed TraceV3Reader");
+    panicIf(out == nullptr || outcome == nullptr,
+            "nextBlock needs output parameters");
+    return readBlock(
+        [out](const unsigned char *payload, std::size_t size,
+              std::uint32_t count) {
+            out->clear();
+            out->reserve(count);
+            return decodeBlockPayload(
+                payload, size, count,
+                [out](const TraceRecord &r) { out->push_back(r); });
+        },
+        outcome);
+}
+
+Status
+TraceV3Reader::appendBlock(std::vector<TraceRecord> *out, Block *outcome)
+{
+    panicIf(!opened, "appendBlock on closed TraceV3Reader");
+    panicIf(out == nullptr || outcome == nullptr,
+            "appendBlock needs output parameters");
+    return readBlock(
+        [out](const unsigned char *payload, std::size_t size,
+              std::uint32_t count) {
+            // Within a capacity reserved up front this never
+            // reallocates; beyond it the vector grows geometrically.
+            const std::size_t delivered = out->size();
+            out->resize(delivered + count);
+            TraceRecord *next = out->data() + delivered;
+            if (decodeBlockPayload(
+                    payload, size, count,
+                    [&next](const TraceRecord &r) { *next++ = r; })) {
+                return true;
+            }
+            out->resize(delivered);
+            return false;
+        },
+        outcome);
 }
 
 void
@@ -791,20 +899,25 @@ readTraceV3(const std::string &path, std::vector<TraceRecord> *out,
     options.preferMapped = true;
     if (Status opened = reader.open(path, options); !opened.isOk())
         return opened;
-    TraceSoa block;
+    // Size the output once from the trailer, so every block decodes in
+    // place with no reallocation. Without a usable count (buffered
+    // backend, damaged tail) the vector grows geometrically instead.
+    std::uint64_t expected = 0;
+    if (Status peeked = reader.peekTrailerRecords(&expected);
+        !peeked.isOk() && !salvage) {
+        return peeked;
+    }
+    out->reserve(static_cast<std::size_t>(expected));
     for (;;) {
         TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-        if (Status got = reader.nextBlock(&block, &outcome);
-            !got.isOk()) {
+        if (Status got = reader.appendBlock(out, &outcome); !got.isOk())
             return got;
-        }
         if (outcome == TraceV3Reader::Block::kEnd)
             break;
-        const TraceColumns cols = block.columns();
-        out->reserve(out->size() + cols.size());
-        for (std::size_t i = 0; i < cols.size(); ++i)
-            out->push_back(cols.record(i));
     }
+    // Quarantined blocks leave the trailer-sized capacity unused.
+    if (salvage && out->capacity() != out->size())
+        out->shrink_to_fit();
     if (report_out)
         *report_out = reader.salvageReport();
     reader.close();

@@ -153,10 +153,13 @@ class TraceV3Writer
     void close();
 
   private:
-    [[nodiscard]] Status flushBlock();
+    /** Encode and write @p block (1..recordsPerBlock records). */
+    [[nodiscard]] Status putBlock(TraceSpan block);
 
     io::File file;
+    /** Records of a partial block awaiting the next append/finish. */
     std::vector<TraceRecord> pending;
+    /** Worst-case-sized encode buffer, reused for every block. */
     std::vector<unsigned char> scratch;
     std::uint32_t recordsPerBlock = defaultRecordsPerBlock;
     std::uint64_t totalRecords = 0;
@@ -212,6 +215,25 @@ class TraceV3Reader
      */
     [[nodiscard]] Status nextBlock(TraceSoa *out, Block *outcome);
 
+    /**
+     * Decode the next block straight into @p out, appended after its
+     * current contents: the whole-file read path, with no columnar
+     * detour. Same outcomes and errors as nextBlock(); a block that
+     * fails to decode leaves @p out as it was.
+     */
+    [[nodiscard]] Status appendBlock(std::vector<TraceRecord> *out,
+                                     Block *outcome);
+
+    /**
+     * Capacity hint for whole-file reads: the record count declared by
+     * a CRC-valid trailer at the end of a mapped file, peeked before
+     * any block is read. 0 when there is none to read (buffered
+     * backend, damaged tail). kCorrupt when the count exceeds what the
+     * file's length can hold (at least 9 payload bytes per record), so
+     * a forged count can never size an allocation.
+     */
+    [[nodiscard]] Status peekTrailerRecords(std::uint64_t *records) const;
+
     /** Damage tally so far (all-zero in strict mode). */
     const BlockSalvageReport &salvageReport() const { return report; }
 
@@ -230,6 +252,8 @@ class TraceV3Reader
     void close();
 
   private:
+    template <class Decode>
+    [[nodiscard]] Status readBlock(Decode &&decode, Block *outcome);
     [[nodiscard]] Status readFrame(std::size_t size, bool *at_end);
     [[nodiscard]] Status resync();
     [[nodiscard]] Status handleCorrupt(const Status &why,

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace vpsim
 {
@@ -44,20 +43,25 @@ zigzagDecode(std::uint64_t value)
            -static_cast<std::int64_t>(value & 1u);
 }
 
-/** Append @p value to @p out as an unsigned LEB128 varint. */
+/**
+ * Write @p value at @p out as an unsigned LEB128 varint and advance
+ * @p out past it. The caller guarantees maxVarintBytes of room, so an
+ * encoder can size its buffer once per block instead of growing a
+ * vector per byte.
+ */
 inline void
-putVarint(std::vector<unsigned char> &out, std::uint64_t value)
+putVarint(unsigned char *&out, std::uint64_t value)
 {
     while (value >= 0x80u) {
-        out.push_back(static_cast<unsigned char>(value) | 0x80u);
+        *out++ = static_cast<unsigned char>(value) | 0x80u;
         value >>= 7;
     }
-    out.push_back(static_cast<unsigned char>(value));
+    *out++ = static_cast<unsigned char>(value);
 }
 
 /** putVarint of a zigzag-folded signed delta. */
 inline void
-putSignedVarint(std::vector<unsigned char> &out, std::int64_t value)
+putSignedVarint(unsigned char *&out, std::int64_t value)
 {
     putVarint(out, zigzagEncode(value));
 }
@@ -74,6 +78,11 @@ inline bool
 getVarint(const unsigned char *&p, const unsigned char *end,
           std::uint64_t *value)
 {
+    // Most trace fields are small deltas: one byte, no loop.
+    if (p != end && *p < 0x80u) {
+        *value = *p++;
+        return true;
+    }
     std::uint64_t result = 0;
     unsigned shift = 0;
     for (std::size_t i = 0; i < maxVarintBytes; ++i) {

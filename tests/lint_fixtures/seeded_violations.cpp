@@ -141,4 +141,22 @@ seededWholeTraceMaterialization(vpsim::TraceSource &source)
     return count + again.size();
 }
 
+void
+seededExactGrowth(std::vector<vpsim::TraceRecord> *out,
+                  const std::vector<vpsim::TraceRecord> &block,
+                  std::vector<int> &ids, const std::vector<int> &more)
+{
+    // [reserve-self-grow] Growing by exactly one batch per call: every
+    // call reallocates and copies all records appended so far.
+    out->reserve(out->size() + block.size()); // lint:expect reserve-self-grow
+    out->insert(out->end(), block.begin(), block.end());
+    ids.reserve(ids.size() + more.size()); // lint:expect reserve-self-grow
+
+    // Sizing from another object, or geometrically, must NOT fire.
+    ids.reserve(more.size() + 1);
+    out->reserve(2 * out->size());
+    std::vector<int> copy;
+    copy.reserve(ids.size() + more.size());
+}
+
 } // namespace vpsim_lint_fixture

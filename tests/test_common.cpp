@@ -420,6 +420,46 @@ TEST(Crc32Test, IncrementalEqualsOneShot)
               crc32(data.data(), data.size() - 1));
 }
 
+/** Bitwise reference CRC-32 (no tables), independent of crc32.hpp. */
+std::uint32_t
+referenceCrc32(const unsigned char *data, std::size_t size)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+    }
+    return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, SlicingBy8MatchesTheBytewiseReference)
+{
+    // Lengths around every multiple of the 8-byte stride, at every
+    // start alignment, so both the sliced loop and the byte tail run.
+    Rng rng(0xc0ffee);
+    std::vector<unsigned char> buffer(8 + 300);
+    for (unsigned char &byte : buffer)
+        byte = static_cast<unsigned char>(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t length = 0; length <= 300; ++length) {
+            const unsigned char *data = buffer.data() + offset;
+            ASSERT_EQ(crc32(data, length), referenceCrc32(data, length))
+                << "offset " << offset << ", length " << length;
+        }
+    }
+
+    // Every split point of a two-call incremental update.
+    const unsigned char *data = buffer.data();
+    const std::uint32_t whole = referenceCrc32(data, 64);
+    for (std::size_t split = 0; split <= 64; ++split) {
+        Crc32 crc;
+        crc.update(data, split);
+        crc.update(data + split, 64 - split);
+        ASSERT_EQ(crc.value(), whole) << "split at " << split;
+    }
+}
+
 /** Restores a clean (inactive) global fault injector on scope exit. */
 struct InjectorGuard
 {

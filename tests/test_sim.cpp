@@ -13,6 +13,8 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -115,6 +117,47 @@ TEST(Harness, TraceHandlesShareStorage)
     const BenchmarkTraces bench = capture(options);
     const BenchmarkTraces copy = bench;
     EXPECT_EQ(&copy.trace(0), &bench.trace(0));
+}
+
+TEST(Harness, StatsSplitSetUpIntoCapturesAndCacheLoads)
+{
+    // Set-up is either VM capture or cache decode; a warm run must not
+    // report "(0 VM captures, 0 ms)" and leave its loads unaccounted.
+    const char *tmp = std::getenv("TMPDIR");
+    const std::string dir = std::string(tmp ? tmp : "/tmp") +
+                            "/vpsim_stats_cache_" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    const Options options =
+        parsedOptions({"--insts", "2000", "--benchmarks", "go,compress",
+                       "--trace-cache-dir", dir.c_str(), "--stats", "1"});
+    const auto run_stats = [&options] {
+        SimRunner runner(options);
+        (void)runner.captureBenchmarks();
+        testing::internal::CaptureStderr();
+        runner.reportStats();
+        return testing::internal::GetCapturedStderr();
+    };
+    const std::string cold = run_stats();
+    EXPECT_NE(cold.find("(2 VM captures, "), std::string::npos) << cold;
+    EXPECT_NE(cold.find("; 0 trace cache loads, "), std::string::npos)
+        << cold;
+
+    const std::string warm = run_stats();
+    EXPECT_NE(warm.find("(0 VM captures, "), std::string::npos) << warm;
+    EXPECT_NE(warm.find("; 2 trace cache loads, "), std::string::npos)
+        << warm;
+    const std::size_t counter = warm.find("sim_runner.trace_cache_loads ");
+    ASSERT_NE(counter, std::string::npos) << warm;
+    std::istringstream line(warm.substr(counter));
+    std::string name;
+    std::uint64_t loads = 0;
+    line >> name >> loads;
+    EXPECT_EQ(loads, 2u) << warm;
+    EXPECT_NE(warm.find("sim_runner.trace_cache_load_micros "),
+              std::string::npos)
+        << warm;
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Harness, FigureTableHasAverageRow)

@@ -4,6 +4,8 @@
  * the bounded-memory streaming source.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -11,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hpp"
 #include "common/io.hpp"
 #include "trace/streaming_source.hpp"
 #include "trace/trace_v3.hpp"
@@ -84,6 +87,96 @@ blockOffset(const std::vector<unsigned char> &bytes, std::size_t index,
     }
 }
 
+/** SHA-256 (FIPS 180-4) of @p bytes as lowercase hex. */
+std::string
+sha256Hex(const std::vector<unsigned char> &bytes)
+{
+    static constexpr std::uint32_t k[64] = {
+        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b,
+        0x59f111f1, 0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01,
+        0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7,
+        0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc,
+        0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152,
+        0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+        0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+        0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819,
+        0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116, 0x1e376c08,
+        0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f,
+        0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+        0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+    std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                          0xa54ff53a, 0x510e527f, 0x9b05688c,
+                          0x1f83d9ab, 0x5be0cd19};
+    std::vector<unsigned char> msg = bytes;
+    const std::uint64_t bits = static_cast<std::uint64_t>(bytes.size()) * 8;
+    msg.push_back(0x80);
+    while (msg.size() % 64 != 56)
+        msg.push_back(0);
+    for (int i = 7; i >= 0; --i)
+        msg.push_back(static_cast<unsigned char>(bits >> (8 * i)));
+    const auto rotr = [](std::uint32_t x, int n) {
+        return (x >> n) | (x << (32 - n));
+    };
+    for (std::size_t off = 0; off < msg.size(); off += 64) {
+        std::uint32_t w[64];
+        for (int i = 0; i < 16; ++i) {
+            w[i] = static_cast<std::uint32_t>(msg[off + 4 * i]) << 24 |
+                   static_cast<std::uint32_t>(msg[off + 4 * i + 1]) << 16 |
+                   static_cast<std::uint32_t>(msg[off + 4 * i + 2]) << 8 |
+                   static_cast<std::uint32_t>(msg[off + 4 * i + 3]);
+        }
+        for (int i = 16; i < 64; ++i) {
+            const std::uint32_t s0 = rotr(w[i - 15], 7) ^
+                                     rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+            const std::uint32_t s1 = rotr(w[i - 2], 17) ^
+                                     rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+        std::uint32_t v[8];
+        std::copy(h, h + 8, v);
+        for (int i = 0; i < 64; ++i) {
+            const std::uint32_t s1 =
+                rotr(v[4], 6) ^ rotr(v[4], 11) ^ rotr(v[4], 25);
+            const std::uint32_t ch = (v[4] & v[5]) ^ (~v[4] & v[6]);
+            const std::uint32_t t1 = v[7] + s1 + ch + k[i] + w[i];
+            const std::uint32_t s0 =
+                rotr(v[0], 2) ^ rotr(v[0], 13) ^ rotr(v[0], 22);
+            const std::uint32_t maj =
+                (v[0] & v[1]) ^ (v[0] & v[2]) ^ (v[1] & v[2]);
+            std::copy_backward(v, v + 7, v + 8);
+            v[4] += t1;
+            v[0] = t1 + s0 + maj;
+        }
+        for (int i = 0; i < 8; ++i)
+            h[i] += v[i];
+    }
+    std::string hex;
+    char digit[9];
+    for (std::uint32_t word : h) {
+        std::snprintf(digit, sizeof(digit), "%08x", word);
+        hex += digit;
+    }
+    return hex;
+}
+
+/** Little-endian field helpers for hand-editing v3 images. */
+std::uint32_t
+getU32(const std::vector<unsigned char> &bytes, std::size_t at)
+{
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+    return v;
+}
+
+void
+putU32(std::vector<unsigned char> &bytes, std::size_t at, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        bytes[at + i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
 void
 expectSameRecords(const std::vector<TraceRecord> &got,
                   const std::vector<TraceRecord> &want)
@@ -112,6 +205,135 @@ TEST(TraceV3, RoundTripsARealTraceAcrossBlocks)
     std::vector<TraceRecord> reloaded;
     ASSERT_TRUE(readTraceV3(path, &reloaded).isOk());
     expectSameRecords(reloaded, original);
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3, ReadSizesItsOutputOnceFromTheTrailer)
+{
+    // Twenty blocks: growing by one block per read would leave
+    // capacity != size (and copy the trace once per block on the way).
+    const auto original = captureWorkloadTrace("go", 20000);
+    const std::string path = tempPath("vpsim_v3_sized.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 1024).isOk());
+
+    std::vector<TraceRecord> reloaded;
+    ASSERT_TRUE(readTraceV3(path, &reloaded).isOk());
+    EXPECT_EQ(reloaded.capacity(), reloaded.size());
+    expectSameRecords(reloaded, original);
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3, ForgedTrailerCountFailsBeforeAllocating)
+{
+    const auto original = captureWorkloadTrace("compress", 4000);
+    const std::string path = tempPath("vpsim_v3_forged.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
+
+    // A re-CRC'd trailer claiming far more records than the file's
+    // bytes can encode (each record needs at least 9).
+    std::vector<unsigned char> bytes = slurp(path);
+    const std::size_t trailer = bytes.size() - v3TrailerBytes;
+    putU32(bytes, trailer + 4, 0);
+    putU32(bytes, trailer + 8, 0x40);
+    putU32(bytes, trailer + 20, crc32(bytes.data() + trailer, 20));
+    spit(path, bytes);
+
+    std::vector<TraceRecord> out;
+    const Status strict = readTraceV3(path, &out);
+    ASSERT_FALSE(strict.isOk());
+    EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
+    EXPECT_NE(strict.message().find("trace trailer mismatch"),
+              std::string::npos)
+        << strict.message();
+    EXPECT_EQ(out.capacity(), 0u) << "nothing may be allocated";
+
+    // Salvage ignores the hint and still delivers every intact block.
+    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true).isOk());
+    expectSameRecords(out, original);
+    EXPECT_LE(out.capacity(), 2 * original.size());
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3, SalvageReturnsExactlyTheRecordsItDelivered)
+{
+    const auto original = captureWorkloadTrace("go", 4000);
+    const std::string path = tempPath("vpsim_v3_bad_encoding.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
+
+    // Block 2's last opcode byte becomes invalid and the frame CRC is
+    // recomputed, so the block passes its checksum and fails only in
+    // decode, after its first 511 records were already written out.
+    std::vector<unsigned char> bytes = slurp(path);
+    std::uint64_t records_before = 0;
+    std::uint32_t block_count = 0;
+    const std::size_t offset =
+        blockOffset(bytes, 2, &records_before, &block_count);
+    const std::size_t payload = offset + v3BlockFrameBytes;
+    const std::size_t payload_end = payload + getU32(bytes, offset + 8);
+    bytes[payload_end - 4] = 0x7f;
+    putU32(bytes, payload_end,
+           crc32(bytes.data() + offset, payload_end - offset));
+    spit(path, bytes);
+
+    std::vector<TraceRecord> out;
+    const Status strict = readTraceV3(path, &out);
+    ASSERT_FALSE(strict.isOk());
+    EXPECT_NE(strict.message().find("corrupt record encoding in block 2"),
+              std::string::npos)
+        << strict.message();
+
+    BlockSalvageReport report;
+    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report)
+                    .isOk());
+    EXPECT_EQ(report.blocksQuarantined, 1u);
+    EXPECT_EQ(out.size(), report.recordsDelivered);
+    EXPECT_EQ(out.capacity(), out.size());
+    std::vector<TraceRecord> expected(
+        original.begin(),
+        original.begin() + static_cast<std::ptrdiff_t>(records_before));
+    expected.insert(expected.end(),
+                    original.begin() + static_cast<std::ptrdiff_t>(
+                                           records_before + block_count),
+                    original.end());
+    expectSameRecords(out, expected);
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3, ColumnarAndRecordDecodeAgreeOnEveryWorkload)
+{
+    // Both output layouts share one decoder; this pins that the SoA
+    // adapter and the in-place record path see identical records.
+    const std::string path = tempPath("vpsim_v3_layouts.vptrace");
+    for (const std::string &name : workloadNames()) {
+        const auto original = captureWorkloadTrace(name, 20000);
+        ASSERT_TRUE(writeTraceV3(path, original, 4096).isOk());
+        TraceV3Reader::Options options;
+        options.preferMapped = true;
+        TraceV3Reader columnar;
+        TraceV3Reader direct;
+        ASSERT_TRUE(columnar.open(path, options).isOk());
+        ASSERT_TRUE(direct.open(path, options).isOk());
+        TraceSoa soa;
+        std::vector<TraceRecord> records;
+        std::size_t seen = 0;
+        for (;;) {
+            TraceV3Reader::Block soa_outcome = TraceV3Reader::Block::kEnd;
+            TraceV3Reader::Block rec_outcome = TraceV3Reader::Block::kEnd;
+            ASSERT_TRUE(columnar.nextBlock(&soa, &soa_outcome).isOk());
+            records.clear();
+            ASSERT_TRUE(direct.appendBlock(&records, &rec_outcome).isOk());
+            ASSERT_EQ(soa_outcome, rec_outcome) << name;
+            if (soa_outcome == TraceV3Reader::Block::kEnd)
+                break;
+            const TraceColumns cols = soa.columns();
+            std::vector<TraceRecord> gathered;
+            for (std::size_t i = 0; i < cols.size(); ++i)
+                gathered.push_back(cols.record(i));
+            expectSameRecords(records, gathered);
+            seen += records.size();
+        }
+        EXPECT_EQ(seen, original.size()) << name;
+    }
     std::remove(path.c_str());
 }
 
@@ -168,6 +390,43 @@ TEST(TraceV3, CompressesWellBelowTheV2Format)
            "packed records (got "
         << v3_bytes << " vs " << v2_bytes << ")";
     std::remove(v3.c_str());
+}
+
+TEST(TraceV3, Sha256HelperMatchesTheStandardVectors)
+{
+    EXPECT_EQ(sha256Hex({}),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b"
+              "7852b855");
+    EXPECT_EQ(sha256Hex({'a', 'b', 'c'}),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61"
+              "f20015ad");
+}
+
+TEST(TraceV3, WriterBytesMatchPinnedDigests)
+{
+    // The file bytes are pinned to fixed digests, so an encoder change
+    // that keeps round trips working but alters the format (and with it
+    // every published cache entry) cannot pass by agreeing with itself.
+    struct Pinned
+    {
+        const char *workload;
+        std::uint64_t insts;
+        std::uint32_t recordsPerBlock;
+        const char *sha256;
+    };
+    const Pinned pinned[] = {
+        {"go", 20000, 4096,
+         "fb98f8f87b9c55508090bb06fcd3419a31527e2a16ec454327eccbde46c5f740"},
+        {"gcc", 100000, defaultRecordsPerBlock,
+         "59d7bd7ffb7f9e12407206d1582ab9118743f03a3096ad9c04252f5e83a8b765"},
+    };
+    const std::string path = tempPath("vpsim_v3_pinned.vptrace");
+    for (const Pinned &pin : pinned) {
+        const auto trace = captureWorkloadTrace(pin.workload, pin.insts);
+        ASSERT_TRUE(writeTraceV3(path, trace, pin.recordsPerBlock).isOk());
+        EXPECT_EQ(sha256Hex(slurp(path)), pin.sha256) << pin.workload;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(TraceV3, RejectsBadMagicVersionAndHeaderRot)
