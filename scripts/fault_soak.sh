@@ -6,9 +6,9 @@
 #   2. faulted:    torn cache write + transient read EIO, --jobs 4.
 #   3. poisoned:   re-run against the cache the torn write corrupted;
 #                  the checksum footer must quarantine + recapture.
-#   4. interrupt:  injected SIGINT mid-sweep with --checkpoint; the run
-#                  must exit 130 and leave a checkpoint file.
-#   5. resume:     --resume completes the sweep from that checkpoint.
+#   4. interrupt:  injected SIGINT mid-sweep with --result-store; the
+#                  run must exit 130 and publish a shard-*.vpshard file.
+#   5. resume:     --resume completes the sweep from that store.
 #   6. v3 cache:   populate a block-framed v3 cache, then force a block
 #                  CRC mismatch (`block:N:block-crc`); strict mode must
 #                  quarantine the entry and recapture.
@@ -38,7 +38,7 @@ bench="$build/bench/fig3_1_fetch_rate"
 work="$(mktemp -d "${TMPDIR:-/tmp}/vpsim-soak.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
 cache="$work/trace-cache"
-ckpt="$work/grid.ckpt"
+store="$work/result-store"
 
 args=(--insts 2000 --benchmarks go,compress)
 failed=0
@@ -75,9 +75,9 @@ if ls "$cache"/.corrupt-* > /dev/null 2>&1; then
     echo "ok: corrupt entry quarantined"
 fi
 
-echo "== interrupted (injected SIGINT mid-sweep, --checkpoint)"
+echo "== interrupted (injected SIGINT mid-sweep, --result-store)"
 status=0
-"$bench" "${args[@]}" --jobs 1 --checkpoint "$ckpt" \
+"$bench" "${args[@]}" --jobs 1 --result-store "$store" \
     --fault-inject "job:4:sigint" \
     > /dev/null 2> "$work/interrupt.err" || status=$?
 if [ "$status" -ne 130 ]; then
@@ -85,21 +85,21 @@ if [ "$status" -ne 130 ]; then
     cat "$work/interrupt.err" >&2
     failed=1
 fi
-if [ ! -f "$ckpt" ]; then
-    echo "FAIL: interrupted run left no checkpoint at $ckpt" >&2
+if ! ls "$store"/shard-*.vpshard > /dev/null 2>&1; then
+    echo "FAIL: interrupted run published no shard-*.vpshard in $store" >&2
     failed=1
 else
-    echo "ok: interrupted run exited 130 and checkpointed"
+    echo "ok: interrupted run exited 130 and published its cells"
 fi
 
 echo "== resume (finish the interrupted sweep)"
-"$bench" "${args[@]}" --jobs 1 --checkpoint "$ckpt" --resume 1 \
+"$bench" "${args[@]}" --jobs 1 --result-store "$store" --resume 1 \
     > "$work/resumed" 2> "$work/resumed.err" ||
     { echo "FAIL: resumed run crashed" >&2; cat "$work/resumed.err" >&2;
       exit 1; }
 check_golden "resumed" "$work/resumed"
 if ! grep -q "resumed" "$work/resumed.err"; then
-    echo "FAIL: resumed run did not reload any checkpointed cells" >&2
+    echo "FAIL: resumed run did not reload any published cells" >&2
     cat "$work/resumed.err" >&2
     failed=1
 fi
@@ -152,11 +152,11 @@ if ls "$cache_cap"/*.tmp.* > /dev/null 2>&1; then
 fi
 
 cache_int="$work/trace-cache-interrupt"
-ckpt_int="$work/capture.ckpt"
+store_int="$work/capture-store"
 echo "== capture SIGINT (killed mid-capture, then recapture)"
 status=0
 "$bench" "${args[@]}" --jobs 1 --trace-cache-dir "$cache_int" \
-    --checkpoint "$ckpt_int" --fault-inject "capture:1:sigint" \
+    --result-store "$store_int" --fault-inject "capture:1:sigint" \
     > /dev/null 2> "$work/capint.err" || status=$?
 if [ "$status" -ne 130 ]; then
     echo "FAIL: capture-SIGINT run exited $status, want 130" >&2
@@ -166,7 +166,7 @@ else
     echo "ok: capture-SIGINT run exited 130"
 fi
 "$bench" "${args[@]}" --jobs 1 --trace-cache-dir "$cache_int" \
-    --checkpoint "$ckpt_int" --resume 1 \
+    --result-store "$store_int" --resume 1 \
     > "$work/capresume" 2> "$work/capresume.err" ||
     { echo "FAIL: post-SIGINT recapture run crashed" >&2;
       cat "$work/capresume.err" >&2; exit 1; }

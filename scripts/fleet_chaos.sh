@@ -5,7 +5,7 @@
 # changes a byte of the merged output.
 #
 #   1. golden:     single-process (--fleet-workers 0) run — the
-#                  reference stdout + CSV + signed fleet manifest.
+#                  reference stdout + CSV + signed manifest.
 #   2. clean fleet: 3 workers, no faults; stdout, CSV and manifest must
 #                  all be byte-identical to the golden run (worker
 #                  counts are deliberately outside the signed region).
@@ -22,7 +22,7 @@
 #                  (because the signed lineage is deterministic)
 #                  byte-identical manifests too.
 #   7. supervisor kill -9: the supervisor is SIGKILLed mid-run; a rerun
-#                  with --fleet-resume 1 reuses every published shard
+#                  with --resume 1 reuses every published shard
 #                  and produces the golden bytes.
 #   8. store corruption: a published shard result is bit-flipped; the
 #                  resume run must quarantine it (.corrupt-*),
@@ -75,11 +75,11 @@ check_identical() { # check_identical <label> <dir> [with-manifest]
         return
     fi
     if [ "$manifest" = yes ] &&
-       ! cmp -s "$work/golden/out.csv.fleet-manifest.json" \
-                "$dir/out.csv.fleet-manifest.json"; then
-        echo "FAIL: $label fleet manifest differs from golden" >&2
-        diff "$work/golden/out.csv.fleet-manifest.json" \
-             "$dir/out.csv.fleet-manifest.json" | head -10 >&2
+       ! cmp -s "$work/golden/out.csv.manifest.json" \
+                "$dir/out.csv.manifest.json"; then
+        echo "FAIL: $label manifest differs from golden" >&2
+        diff "$work/golden/out.csv.manifest.json" \
+             "$dir/out.csv.manifest.json" | head -10 >&2
         failed=1
         return
     fi
@@ -127,19 +127,19 @@ fi
 # The signed lineage is deterministic (attempts at a terminal loss are
 # the policy budget, bisection ids derive from the parent), so even
 # the poisoned manifests must match byte-for-byte across modes.
-if ! cmp -s "$work/poison0/out.csv.fleet-manifest.json" \
-            "$work/poison1/out.csv.fleet-manifest.json"; then
+if ! cmp -s "$work/poison0/out.csv.manifest.json" \
+            "$work/poison1/out.csv.manifest.json"; then
     echo "FAIL: poisoned manifests differ between modes" >&2
-    diff "$work/poison0/out.csv.fleet-manifest.json" \
-         "$work/poison1/out.csv.fleet-manifest.json" | head -10 >&2
+    diff "$work/poison0/out.csv.manifest.json" \
+         "$work/poison1/out.csv.manifest.json" | head -10 >&2
     failed=1
 fi
 python3 "$scripts/verify_manifest.py" \
-    "$work/poison0/out.csv.fleet-manifest.json" \
-    "$work/poison1/out.csv.fleet-manifest.json" > /dev/null ||
+    "$work/poison0/out.csv.manifest.json" \
+    "$work/poison1/out.csv.manifest.json" > /dev/null ||
     { echo "FAIL: poisoned manifests do not verify" >&2; failed=1; }
 
-echo "== supervisor kill -9 mid-run, then --fleet-resume 1"
+echo "== supervisor kill -9 mid-run, then --resume 1"
 mkdir -p "$work/resume"
 store="$work/resume/store"
 # exec setsid: $! becomes the supervisor itself, alone (with its
@@ -164,7 +164,7 @@ if [ "$published" -lt 1 ]; then
     failed=1
 fi
 (cd "$work/resume" && "$bench" "${args[@]}" --fleet-workers 3 \
-    --fleet-shard-cells 2 --result-store store --fleet-resume 1 \
+    --fleet-shard-cells 2 --result-store store --resume 1 \
     --csv out.csv > stdout.txt 2> stderr.txt)
 check_identical "supervisor kill -9 + resume" resume no
 if ! grep -q "[1-9][0-9]* reused cell" "$work/resume/stderr.txt"; then
@@ -183,7 +183,7 @@ mkdir -p "$work/corrupt"
 victim="$(ls "$work/corrupt/store"/shard-*.vpshard | head -1)"
 printf 'X' | dd of="$victim" bs=1 seek=60 conv=notrunc 2> /dev/null
 (cd "$work/corrupt" && "$bench" "${args[@]}" --fleet-workers 2 \
-    --result-store store --fleet-resume 1 --csv out.csv \
+    --result-store store --resume 1 --csv out.csv \
     > stdout.txt 2> stderr.txt)
 check_identical "store corruption" corrupt no
 if ls "$work/corrupt/store"/.corrupt-* > /dev/null 2>&1; then
@@ -197,7 +197,7 @@ echo "== tampered CSV (verify_manifest.py must fail)"
 sed 's/^fleet,go/fleet,GO/' "$work/clean/out.csv" > "$work/clean/tampered"
 mv "$work/clean/tampered" "$work/clean/out.csv"
 if python3 "$scripts/verify_manifest.py" \
-    "$work/clean/out.csv.fleet-manifest.json" > /dev/null 2>&1; then
+    "$work/clean/out.csv.manifest.json" > /dev/null 2>&1; then
     echo "FAIL: verify_manifest.py accepted a tampered CSV" >&2
     failed=1
 else

@@ -16,7 +16,7 @@ set -u -o pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="$ROOT/build-tsan"
 # The suites that exercise the multithreaded runtime: the work-stealing
-# pool, SimRunner's watchdog/checkpoint/failure paths, and the
+# pool, SimRunner's watchdog/result-store/failure paths, and the
 # validation harness that drives them end to end.
 SUITES=(test_thread_pool test_sim test_validation)
 

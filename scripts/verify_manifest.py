@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
-"""Verify vpsim run and fleet manifests (sidecar files next to a CSV).
+"""Verify vpsim run manifests (sidecar files next to a CSV).
 
-Every bench that writes `--csv FILE` also writes `FILE.manifest.json`
-(see src/sim/run_manifest.hpp and docs/VALIDATION.md), and the fleet
-driver writes `FILE.fleet-manifest.json` instead (see
-src/fleet/fleet_manifest.hpp and docs/FLEET.md). This checker
-re-derives, for each manifest given on the command line (or found under
-a directory):
+Every producer that writes `--csv FILE` — a bench or a fleet — also
+writes `FILE.manifest.json` (see src/sim/run_manifest.hpp and
+docs/VALIDATION.md). This checker re-derives, for each manifest given
+on the command line (or found under a directory):
 
   1. the CRC-32 of the CSV the manifest describes (the file next to the
-     manifest, i.e. the manifest path minus its manifest suffix) and
-     its byte count, compared against csvCrc32 / csvBytes;
+     manifest, i.e. the manifest path minus its suffix) and its byte
+     count, compared against csvCrc32 / csvBytes;
   2. the manifest's own signature: CRC-32 over the canonical signing
-     string rebuilt byte-for-byte from the parsed JSON fields, compared
-     against the stored "crc32:XXXXXXXX" signature;
-  3. for fleet manifests, the structural invariants of the signed
-     lineage: every `id:first:last:attempts:outcome` shard line parses,
-     outcomes are from the known set, quarantined cells are strictly
-     ascending, in range, and consistent with the quarantined shard
-     lines.
+     string rebuilt from the parsed JSON fields, compared against the
+     stored "crc32:XXXXXXXX" signature;
+  3. for fleet manifests (those with `shards`), the structural
+     invariants of the signed lineage: every
+     `id:first:last:attempts:outcome` shard line parses, outcomes are
+     from the known set, quarantined cells are strictly ascending, in
+     range, and consistent with the quarantined shard lines.
 
 Exit status 0 when every manifest passes, 1 otherwise. Only the Python
 standard library is used.
@@ -37,68 +35,26 @@ REQUIRED_FIELDS = [
     "csvBytes", "csvCrc32", "signature",
 ]
 
-SCHEMA = "vpsim-run-manifest 2"
-MANIFEST_SUFFIX = ".manifest.json"
-
-FLEET_REQUIRED_FIELDS = [
-    "schema", "gitDescribe", "fleetHash", "rows", "cols", "cells",
-    "retries", "bisections", "reusedCells", "quarantinedCells",
-    "shards", "salvagedFiles", "salvagedBlocks", "salvagedRecordsLost",
-    "fingerprint", "csvFile", "csvBytes", "csvCrc32", "signature",
+FLEET_FIELDS = [
+    "fleetHash", "rows", "cols", "cells", "retries", "bisections",
+    "reusedCells", "quarantinedCells", "shards",
 ]
 
-FLEET_SCHEMA = "vpsim-fleet-manifest 1"
-FLEET_MANIFEST_SUFFIX = ".fleet-manifest.json"
+SCHEMA = "vpsim-manifest 3"
+MANIFEST_SUFFIX = ".manifest.json"
 FLEET_SHARD_OUTCOMES = {"ok", "bisected", "quarantined"}
 
 
 def signing_string(manifest):
-    """The canonical signing string (see run_manifest.cpp)."""
-    return (
-        "vpsim-manifest-signing-v2\n"
-        f"schema={manifest['schema']}\n"
-        f"gitDescribe={manifest['gitDescribe']}\n"
-        f"traceFormatVersion={manifest['traceFormatVersion']}\n"
-        f"checkInvariants={manifest['checkInvariants']}\n"
-        f"crossCheck={manifest['crossCheck']}\n"
-        f"jobTimeout={manifest['jobTimeout']}\n"
-        f"salvageBlocks={manifest['salvageBlocks']}\n"
-        f"salvagedFiles={manifest['salvagedFiles']}\n"
-        f"salvagedBlocks={manifest['salvagedBlocks']}\n"
-        f"salvagedRecordsLost={manifest['salvagedRecordsLost']}\n"
-        f"fingerprint={manifest['fingerprint']}\n"
-        f"csvFile={manifest['csvFile']}\n"
-        f"csvBytes={manifest['csvBytes']}\n"
-        f"csvCrc32={manifest['csvCrc32']}\n"
-    )
-
-
-def fleet_signing_string(manifest):
-    """The canonical fleet signing string (see fleet_manifest.cpp)."""
-    lines = [
-        "vpsim-fleet-signing-v1",
-        f"schema={manifest['schema']}",
-        f"gitDescribe={manifest['gitDescribe']}",
-        f"fleetHash={manifest['fleetHash']}",
-        f"rows={manifest['rows']}",
-        f"cols={manifest['cols']}",
-        f"cells={manifest['cells']}",
-        f"retries={manifest['retries']}",
-        f"bisections={manifest['bisections']}",
-        f"reusedCells={manifest['reusedCells']}",
-        "quarantinedCells="
-        + ",".join(str(cell) for cell in manifest["quarantinedCells"]),
-    ]
-    lines.extend(f"shard={shard}" for shard in manifest["shards"])
-    lines.extend([
-        f"salvagedFiles={manifest['salvagedFiles']}",
-        f"salvagedBlocks={manifest['salvagedBlocks']}",
-        f"salvagedRecordsLost={manifest['salvagedRecordsLost']}",
-        f"fingerprint={manifest['fingerprint']}",
-        f"csvFile={manifest['csvFile']}",
-        f"csvBytes={manifest['csvBytes']}",
-        f"csvCrc32={manifest['csvCrc32']}",
-    ])
+    """The canonical signing string (see run_manifest.cpp): a header,
+    then key=value per field in document order, one line per element
+    of a list field."""
+    lines = ["vpsim-manifest-signing-v3"]
+    for key, value in manifest.items():
+        if key == "signature":
+            continue
+        items = value if isinstance(value, list) else [value]
+        lines.extend(f"{key}={item}" for item in items)
     return "\n".join(lines) + "\n"
 
 
@@ -153,13 +109,12 @@ def check_fleet_lineage(manifest):
     return problems
 
 
-def check_csv(manifest, manifest_path, suffix, problems):
-    """CSV checks shared by both schemas: the data file next to the
-    manifest must match the checksum taken when it was written. The
-    stored csvFile is the path the bench was invoked with (possibly
-    relative to a different cwd), so locate the CSV from the manifest's
-    own name instead."""
-    csv_path = manifest_path[: -len(suffix)]
+def check_csv(manifest, manifest_path, problems):
+    """The data file next to the manifest must match the checksum taken
+    when it was written. The stored csvFile is the path the producer
+    was invoked with (possibly relative to a different cwd), so locate
+    the CSV from the manifest's own name instead."""
+    csv_path = manifest_path[: -len(MANIFEST_SUFFIX)]
     if os.path.basename(manifest["csvFile"]) != os.path.basename(csv_path):
         problems.append(
             f"csvFile '{manifest['csvFile']}' does not name '"
@@ -190,18 +145,16 @@ def verify(manifest_path):
     except (OSError, json.JSONDecodeError) as error:
         return [f"unreadable manifest: {error}"]
 
-    is_fleet = manifest_path.endswith(FLEET_MANIFEST_SUFFIX)
-    required = FLEET_REQUIRED_FIELDS if is_fleet else REQUIRED_FIELDS
+    is_fleet = "shards" in manifest
+    required = REQUIRED_FIELDS + (FLEET_FIELDS if is_fleet else [])
     missing = [f for f in required if f not in manifest]
     if missing:
         return [f"missing fields: {', '.join(missing)}"]
-    schema = FLEET_SCHEMA if is_fleet else SCHEMA
-    if manifest["schema"] != schema:
+    if manifest["schema"] != SCHEMA:
         return [f"unknown schema '{manifest['schema']}'"]
 
     # Signature: the manifest body must not have been edited.
-    build = fleet_signing_string if is_fleet else signing_string
-    body = build(manifest).encode("utf-8")
+    body = signing_string(manifest).encode("utf-8")
     expected = f"crc32:{zlib.crc32(body) & 0xFFFFFFFF:08x}"
     if manifest["signature"] != expected:
         problems.append(
@@ -211,11 +164,10 @@ def verify(manifest_path):
     if is_fleet:
         problems.extend(check_fleet_lineage(manifest))
 
-    suffix = FLEET_MANIFEST_SUFFIX if is_fleet else MANIFEST_SUFFIX
-    if not manifest_path.endswith(suffix):
-        problems.append(f"manifest name should end with {suffix}")
+    if not manifest_path.endswith(MANIFEST_SUFFIX):
+        problems.append(f"manifest name should end with {MANIFEST_SUFFIX}")
         return problems
-    check_csv(manifest, manifest_path, suffix, problems)
+    check_csv(manifest, manifest_path, problems)
     return problems
 
 
@@ -228,8 +180,7 @@ def collect(paths):
                 manifests.extend(
                     os.path.join(root, name)
                     for name in sorted(files)
-                    if name.endswith(MANIFEST_SUFFIX)
-                    or name.endswith(FLEET_MANIFEST_SUFFIX))
+                    if name.endswith(MANIFEST_SUFFIX))
         else:
             manifests.append(path)
     return manifests

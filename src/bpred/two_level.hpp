@@ -16,7 +16,6 @@
 
 #include "bpred/branch_predictor.hpp"
 #include "common/sat_counter.hpp"
-#include "common/stats.hpp"
 
 namespace vpsim
 {

@@ -37,7 +37,7 @@ class Options
     /**
      * Register a cross-option validation rule, run at the end of
      * parse() — a bad option *combination* (--resume without
-     * --checkpoint, --cross-check under fault injection) should fail
+     * --result-store, --cross-check under fault injection) should fail
      * with a one-line usage hint before any trace is captured, not
      * surface as a confusing error forty minutes into a sweep.
      *
@@ -79,8 +79,9 @@ class Options
      * Canonical "name=value;" string over every declared option (with
      * defaults applied), sorted by name, minus the names in @p exclude.
      * Two runs with the same fingerprint request the same experiment;
-     * the grid checkpoint (sim_runner.hpp) keys cells by its hash so
-     * --resume never reuses cells from a differently-configured sweep.
+     * SimRunner and the fleet name their result-store files by its hash
+     * so --resume never reuses cells from a differently-configured
+     * sweep.
      */
     std::string fingerprint(
         const std::vector<std::string> &exclude = {}) const;

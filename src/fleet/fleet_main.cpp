@@ -2,13 +2,12 @@
 
 #include <cstdio>
 
-#include "common/logging.hpp"
 #include "common/options.hpp"
-#include "fleet/fleet_manifest.hpp"
 #include "fleet/grid.hpp"
 #include "fleet/supervisor.hpp"
 #include "fleet/worker.hpp"
 #include "sim/experiment.hpp"
+#include "sim/run_manifest.hpp"
 
 namespace vpsim
 {
@@ -19,33 +18,31 @@ namespace
 {
 
 /**
- * Append the merged grid to --csv in the same tidy long form
- * maybeWriteCsv() uses, but with the *fleet* manifest as the sidecar:
- * the run manifest would sign the full fingerprint, which includes
- * execution knobs like --fleet-workers and would break the
- * "fleet output == in-process output" byte-identity contract.
+ * The fleet's signed assembly provenance. The fingerprint is the
+ * grid's, not the full options: those include execution knobs like
+ * --fleet-workers and would break the "fleet output == in-process
+ * output" byte-identity contract.
  */
-void
-writeFleetCsv(const Options &options, const FleetGrid &grid,
-              const FleetReport &report)
+FleetLineage
+lineageOf(const FleetGrid &grid, const FleetReport &report)
 {
-    const std::string path = options.getString("csv");
-    if (path.empty())
-        return;
-    std::FILE *file = std::fopen(path.c_str(), "a");
-    fatalIf(!file, "cannot open CSV file " + path);
-    for (std::size_t row = 0; row < grid.rows(); ++row) {
-        for (std::size_t col = 0; col < grid.cols(); ++col) {
-            std::fprintf(file, "%s,%s,%s,%.9g\n", "fleet",
-                         grid.workloads()[row].c_str(),
-                         grid.columnLabel(col).c_str(),
-                         report.cells[row][col]);
-        }
+    FleetLineage lineage;
+    lineage.fingerprint = grid.fingerprint();
+    lineage.fleetHash = grid.fleetHash();
+    lineage.rows = grid.rows();
+    lineage.cols = grid.cols();
+    lineage.retries = report.retries;
+    lineage.bisections = report.bisections;
+    lineage.reusedCells = report.reusedCells;
+    lineage.quarantinedCells = report.quarantinedCells;
+    for (const ShardOutcome &shard : report.shards) {
+        lineage.shards.push_back(
+            std::to_string(shard.id) + ':' +
+            std::to_string(shard.firstCell) + ':' +
+            std::to_string(shard.lastCell) + ':' +
+            std::to_string(shard.attempts) + ':' + shard.outcome);
     }
-    std::fclose(file);
-    std::fprintf(stderr, "appended %zu rows to %s\n",
-                 grid.rows() * grid.cols(), path.c_str());
-    writeFleetManifest(grid, report, path);
+    return lineage;
 }
 
 } // namespace
@@ -75,7 +72,9 @@ fleetMain(int argc, const char *const *argv,
                    .c_str(),
                stdout);
 
-    writeFleetCsv(options, grid, report);
+    const FleetLineage lineage = lineageOf(grid, report);
+    maybeWriteCsv(options, "fleet", grid.workloads(), column_labels,
+                  report.cells, &lineage);
     reportFleetStats(options, report);
     return 0;
 }

@@ -6,7 +6,7 @@
  * around fleetMain(): declare options (with per-binary default
  * overrides), parse, then either run as a worker (--fleet-worker 1,
  * the re-exec'd child path) or drive the whole sweep as supervisor and
- * render the merged table / CSV / signed fleet manifest. Keeping the
+ * render the merged table / CSV / signed manifest. Keeping the
  * dispatch in one function guarantees the supervisor's
  * `/proc/self/exe` re-exec lands in a binary that understands the
  * worker protocol, whichever fleet binary it is.

@@ -89,13 +89,6 @@ declareFleetOptions(Options &options,
             "worker processes (isolated fault domains); 0 runs every "
             "cell in-process — the reference mode fleets must match "
             "byte for byte");
-    declare("result-store", "",
-            "directory of content-addressed shard result files; "
-            "required for --fleet-resume (empty = private temporary "
-            "store)");
-    declare("fleet-resume", "0",
-            "reuse finished cells already present in --result-store "
-            "instead of starting fresh");
     declare("fleet-shard-cells", "64",
             "cells per shard the planner aims for (smaller shards "
             "lose less work per worker death)");
@@ -145,14 +138,6 @@ declareFleetOptions(Options &options,
         return "";
     });
     options.addValidator([](const Options &parsed) -> std::string {
-        if (parsed.getBool("fleet-resume") &&
-            parsed.getString("result-store").empty())
-            return "--fleet-resume 1 requires --result-store DIR "
-                   "(a private temporary store has nothing to resume "
-                   "from)";
-        return "";
-    });
-    options.addValidator([](const Options &parsed) -> std::string {
         if (parsed.getBool("fleet-worker") &&
             parsed.getString("fleet-cells").empty())
             return "--fleet-worker 1 requires --fleet-cells FIRST-LAST";
@@ -163,19 +148,19 @@ declareFleetOptions(Options &options,
 const std::vector<std::string> &
 fleetFingerprintExclusions()
 {
-    // The execution-knob exclusion list SimRunner uses for checkpoint
-    // keys, extended with the fleet's own execution knobs. --csv is
+    // SimRunner's execution knobs plus the fleet's own. --csv is
     // excluded too: the output path does not change any cell, and a
     // resumed fleet may write its merged CSV somewhere new.
-    static const std::vector<std::string> exclusions = {
-        "jobs", "trace-cache-dir", "stats", "keep-going", "checkpoint",
-        "resume", "fault-inject", "check-invariants", "cross-check",
-        "job-timeout", "salvage-blocks", "mem-budget",
-        "cache-gc-days", "csv", "fleet-workers", "result-store",
-        "fleet-resume", "fleet-shard-cells", "fleet-worker-timeout",
-        "fleet-max-attempts", "fleet-retry-base-ms",
-        "fleet-worker-mem-mb", "fleet-worker", "fleet-cells",
-        "fleet-heartbeat-fd", "fleet-fault"};
+    static const std::vector<std::string> exclusions = [] {
+        std::vector<std::string> names = runnerFingerprintExclusions();
+        names.insert(names.end(),
+                     {"csv", "fleet-workers", "fleet-shard-cells",
+                      "fleet-worker-timeout", "fleet-max-attempts",
+                      "fleet-retry-base-ms", "fleet-worker-mem-mb",
+                      "fleet-worker", "fleet-cells", "fleet-heartbeat-fd",
+                      "fleet-fault"});
+        return names;
+    }();
     return exclusions;
 }
 

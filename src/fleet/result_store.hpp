@@ -1,6 +1,7 @@
 /**
  * @file
- * Content-addressed store of finished shard results.
+ * Content-addressed store of finished shard results: the one place
+ * finished cells persist, for fleets and for SimRunner grids alike.
  *
  * Each fleet worker that completes its shard publishes one small text
  * file — the shard's cell values plus the worker's salvage totals —
@@ -16,6 +17,11 @@
  * boundaries were drawn when the file was written — and plans new
  * shards only over the cells still missing. Killing a supervisor with
  * `kill -9` therefore costs at most the shards that were in flight.
+ *
+ * SimRunner uses the same files for an interrupted runGrid() grid:
+ * the "fleet hash" is then the grid's identity (fingerprint hash +
+ * grid ordinal) and one file covers the grid's finished cells. The
+ * code is compiled into vpsim_sim for that reason.
  */
 
 #ifndef VPSIM_FLEET_RESULT_STORE_HPP

@@ -85,8 +85,7 @@ workerOverriddenOptions()
         "fleet-fault", "result-store",
         // Supervisor-level execution knobs a worker must not recurse
         // on or duplicate.
-        "fleet-workers", "fleet-resume", "jobs", "stats", "csv",
-        "checkpoint", "resume",
+        "fleet-workers", "resume", "jobs", "stats", "csv",
         // The supervisor's injector drives worker faults; forwarding
         // the spec would double-arm io clauses in every child.
         "fault-inject",
@@ -239,7 +238,7 @@ runWorkerFleet(const Options &options, const FleetGrid &grid,
     // Cooperative shutdown: on SIGINT/SIGTERM the loop kills its
     // children (via the handle destructors) and exits 128+signal,
     // mirroring SimRunner's contract. Published shards survive in the
-    // store for --fleet-resume.
+    // store for --resume.
     void (*previous_sigint)(int) =
         std::signal(SIGINT, fleetSignalHandler);
     void (*previous_sigterm)(int) =
@@ -533,7 +532,7 @@ runFleet(const Options &options, const FleetGrid &grid)
 
     std::map<std::uint32_t, double> merged;
     if (store) {
-        if (options.getBool("fleet-resume")) {
+        if (options.getBool("resume")) {
             SalvageRegistry::Totals reused_salvage;
             const ResultStore::ScanReport scan =
                 store->mergeAll(&merged, &reused_salvage);

@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "common/sat_counter.hpp"
-#include "common/stats.hpp"
 #include "predictor/last_value.hpp"
 #include "predictor/stride.hpp"
 #include "predictor/table_storage.hpp"

@@ -23,17 +23,19 @@ declareRunnerOptions(Options &options)
                     "cache captured workload traces in this directory "
                     "(reused across bench binaries and runs)");
     options.declare("stats", "0",
-                    "dump the experiment runtime's stats registry to "
-                    "stderr");
+                    "dump the experiment runtime's sim_runner.* "
+                    "counters to stderr");
     options.declare("keep-going", "0",
                     "record failing jobs (cells become NaN) and finish "
                     "the sweep instead of aborting on the first error");
-    options.declare("checkpoint", "",
-                    "flush finished grid cells to this file when the "
-                    "sweep is interrupted (SIGINT/SIGTERM)");
+    options.declare("result-store", "",
+                    "directory of CRC-checked cell result files: an "
+                    "interrupted grid publishes its finished cells here "
+                    "on SIGINT/SIGTERM, fleet workers publish their "
+                    "shards (fleet: empty = private temporary store)");
     options.declare("resume", "0",
-                    "reload finished cells from the --checkpoint file "
-                    "so an interrupted sweep continues");
+                    "reload finished cells from --result-store so an "
+                    "interrupted sweep continues instead of restarting");
     options.declare("fault-inject", "",
                     "deterministic I/O fault spec, e.g. "
                     "write:3:torn,read:2:eio,job:5:sigint "
@@ -65,9 +67,9 @@ declareRunnerOptions(Options &options)
     // hint, not forty minutes into a sweep.
     options.addValidator([](const Options &parsed) -> std::string {
         if (parsed.getBool("resume") &&
-            parsed.getString("checkpoint").empty())
-            return "--resume 1 requires --checkpoint FILE (there is no "
-                   "file to reload cells from)";
+            parsed.getString("result-store").empty())
+            return "--resume 1 requires --result-store DIR (there is no "
+                   "store to reload cells from)";
         return "";
     });
     options.addValidator([](const Options &parsed) -> std::string {
@@ -102,6 +104,19 @@ declareRunnerOptions(Options &options)
                    "quarantined files forever)";
         return "";
     });
+}
+
+const std::vector<std::string> &
+runnerFingerprintExclusions()
+{
+    // --salvage-blocks is an execution knob too: salvage only matters
+    // when disk corruption strikes, so it never changes what a cell
+    // computes.
+    static const std::vector<std::string> exclusions = {
+        "jobs", "trace-cache-dir", "stats", "keep-going", "result-store",
+        "resume", "fault-inject", "check-invariants", "cross-check",
+        "job-timeout", "salvage-blocks", "mem-budget", "cache-gc-days"};
+    return exclusions;
 }
 
 void
@@ -202,7 +217,8 @@ void
 maybeWriteCsv(const Options &options, const std::string &figure_id,
               const std::vector<std::string> &row_names,
               const std::vector<std::string> &column_names,
-              const std::vector<std::vector<double>> &cells)
+              const std::vector<std::vector<double>> &cells,
+              const FleetLineage *fleet)
 {
     const std::string path = options.getString("csv");
     if (path.empty())
@@ -222,7 +238,7 @@ maybeWriteCsv(const Options &options, const std::string &figure_id,
     // Provenance sidecar: every CSV ships with a signed manifest
     // (run_manifest.hpp) so figures can be traced back to the exact
     // experiment and source revision that produced them.
-    writeRunManifest(options, path);
+    writeRunManifest(options, path, fleet);
 }
 
 std::string

@@ -25,6 +25,8 @@
 namespace vpsim
 {
 
+struct FleetLineage;
+
 /** An immutable captured trace, shareable across concurrent jobs. */
 using TraceHandle = std::shared_ptr<const std::vector<TraceRecord>>;
 
@@ -54,14 +56,23 @@ struct BenchmarkTraces
  * --jobs (worker threads), --trace-cache-dir (on-disk capture cache),
  * --stats (dump the runtime's counters to stderr), and the
  * fault-tolerance flags --keep-going (isolate failing jobs as NaN
- * cells), --checkpoint / --resume (survive SIGINT/SIGTERM and continue
- * an interrupted sweep), and --fault-inject (arm the deterministic I/O
- * fault injector for soak tests).
+ * cells), --result-store / --resume (survive SIGINT/SIGTERM and
+ * continue an interrupted sweep), and --fault-inject (arm the
+ * deterministic I/O fault injector for soak tests).
  *
  * declareStandardOptions() calls this; benches with no benchmark
  * capture of their own (worked examples) can call it directly.
  */
 void declareRunnerOptions(Options &options);
+
+/**
+ * The runner options that change how a sweep executes but not what any
+ * cell computes (--jobs, caches, stores, self-check levels, ...).
+ * SimRunner hashes every other option into its grids' identity, so a
+ * resumed run may use different parallelism or verification settings
+ * while a differently-configured sweep never matches.
+ */
+const std::vector<std::string> &runnerFingerprintExclusions();
 
 /**
  * Declare the options every figure bench shares: --insts (trace length
@@ -121,14 +132,19 @@ std::string renderPercentTable(
 
 /**
  * If the standard --csv option was given, append the figure's data to
- * that file in tidy long form: figure,benchmark,configuration,value.
- * Values are written raw (fractions, not percentages). No-op when the
- * option is empty.
+ * that file in tidy long form: figure,benchmark,configuration,value,
+ * then rewrite its signed manifest (run_manifest.hpp). Values are
+ * written raw (fractions, not percentages). No-op when the option is
+ * empty.
+ *
+ * @param fleet A fleet's lineage to sign in the manifest; null for a
+ *        bench process.
  */
 void maybeWriteCsv(const Options &options, const std::string &figure_id,
                    const std::vector<std::string> &row_names,
                    const std::vector<std::string> &column_names,
-                   const std::vector<std::vector<double>> &cells);
+                   const std::vector<std::vector<double>> &cells,
+                   const FleetLineage *fleet = nullptr);
 
 } // namespace vpsim
 

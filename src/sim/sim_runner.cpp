@@ -1,25 +1,21 @@
 #include "sim/sim_runner.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/invariant.hpp"
 #include "common/io.hpp"
 #include "common/logging.hpp"
 #include "common/resource_usage.hpp"
-#include "common/stats.hpp"
+#include "fleet/result_store.hpp"
 #include "trace/trace_stats.hpp"
 #include "trace/trace_v3.hpp"
 
@@ -75,49 +71,6 @@ simRunnerSignalHandler(int signal_number)
         std::_Exit(128 + signal_number);
 }
 
-constexpr char checkpointMagic[] = "vpsim-grid-checkpoint 1";
-
-/**
- * Load a checkpoint file into key -> cell-value-bits. A missing file
- * is a fresh start; a malformed one is ignored with a warning (the
- * sweep recomputes, which is always safe).
- */
-std::unordered_map<std::uint64_t, std::uint64_t>
-loadCheckpoint(const std::string &path)
-{
-    std::unordered_map<std::uint64_t, std::uint64_t> cells;
-    std::ifstream in(path);
-    if (!in)
-        return cells;
-    std::string magic;
-    std::getline(in, magic);
-    if (magic != checkpointMagic) {
-        warn("ignoring malformed checkpoint file " + path);
-        return cells;
-    }
-    std::uint64_t key = 0;
-    std::uint64_t value_bits = 0;
-    while (in >> std::hex >> key >> value_bits)
-        cells[key] = value_bits;
-    return cells;
-}
-
-std::uint64_t
-doubleToBits(double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
-}
-
-double
-bitsToDouble(std::uint64_t bits)
-{
-    double value = 0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-}
-
 } // namespace
 
 SimRunner::SimRunner(const Options &options_in)
@@ -125,10 +78,10 @@ SimRunner::SimRunner(const Options &options_in)
 {
     io::configureFaultInjection(options.getString("fault-inject"));
     keepGoing = options.getBool("keep-going");
-    checkpointPath = options.getString("checkpoint");
+    storeDir = options.getString("result-store");
     resumeRequested = options.getBool("resume");
-    fatalIf(resumeRequested && checkpointPath.empty(),
-            "--resume requires --checkpoint FILE");
+    fatalIf(resumeRequested && storeDir.empty(),
+            "--resume requires --result-store DIR");
 
     setInvariantLevel(
         invariantLevelFromString(options.getString("check-invariants")));
@@ -142,18 +95,9 @@ SimRunner::SimRunner(const Options &options_in)
     memBudget = static_cast<std::uint64_t>(options.getInt("mem-budget"))
                 << 20;
 
-    // Checkpoint cells are keyed by everything that determines results
-    // (insts, benchmarks, seed, ...) but not by how the run executes
-    // (--jobs, cache dir, fault spec, self-check level): a resumed run
-    // may use different parallelism or verification settings, and a
-    // differently-configured sweep never matches. --salvage-blocks is
-    // in the execution set too: salvage only matters when disk
-    // corruption strikes, so it never changes what a cell computes.
-    configHash = fnv1a(options.fingerprint(
-        {"jobs", "trace-cache-dir", "stats", "keep-going", "checkpoint",
-         "resume", "fault-inject", "check-invariants", "cross-check",
-         "job-timeout", "salvage-blocks", "mem-budget",
-         "cache-gc-days"}));
+    // Grids are identified by everything that determines results
+    // (insts, benchmarks, seed, ...) but not by how the run executes.
+    configHash = fnv1a(options.fingerprint(runnerFingerprintExclusions()));
 
     const std::string cache_dir = options.getString("trace-cache-dir");
     if (!cache_dir.empty()) {
@@ -368,6 +312,8 @@ SimRunner::runGrid(
                   cols, std::numeric_limits<double>::quiet_NaN()));
 
     GridState grid;
+    grid.hash = fnv1a(std::string("g").append(std::to_string(grid_id)),
+                      configHash);
     grid.rows = rows;
     grid.cols = cols;
     grid.cells = &cells;
@@ -380,27 +326,11 @@ SimRunner::runGrid(
         grid.done[idx].store(false, std::memory_order_relaxed);
     }
 
-    std::size_t resumed = 0;
-    if (resumeRequested) {
-        const auto saved = loadCheckpoint(checkpointPath);
-        for (std::size_t idx = 0; idx < rows * cols; ++idx) {
-            const auto it = saved.find(grid.keys[idx]);
-            if (it == saved.end())
-                continue;
-            cells[idx / cols][idx % cols] = bitsToDouble(it->second);
-            grid.done[idx].store(true, std::memory_order_relaxed);
-            ++resumed;
-        }
-        if (resumed > 0) {
-            std::fprintf(stderr,
-                         "sim: resumed %zu of %zu cells from %s\n",
-                         resumed, rows * cols, checkpointPath.c_str());
-        }
-    }
+    const std::size_t resumed = resumeRequested ? resumeGrid(grid) : 0;
     resumedCellCount += resumed;
 
     // Deterministic --cross-check sample: the N cells with the
-    // smallest checkpoint keys among those actually being computed.
+    // smallest cell keys among those actually being computed.
     // The keys are a hash of (experiment fingerprint, grid, row, col),
     // so the sample is effectively random over the grid yet identical
     // across --jobs values and reruns of the same experiment.
@@ -506,61 +436,88 @@ SimRunner::sweepTotals() const
     return totals;
 }
 
-void
-SimRunner::flushCheckpoint() const
+std::size_t
+SimRunner::resumeGrid(GridState &grid) const
 {
-    // Deliberately bypasses the fault injector: the checkpoint is the
-    // recovery mechanism itself, and injected faults are meant for the
-    // pipeline under test, not for the lifeboat.
-    const std::string temp =
-        checkpointPath + ".tmp." + std::to_string(::getpid());
-    std::FILE *file = std::fopen(temp.c_str(), "w");
-    if (!file) {
-        warn("cannot write checkpoint " + checkpointPath + ": " +
-             std::strerror(errno));
-        return;
+    const fleet::ResultStore store(storeDir, grid.hash);
+    if (!store.status().isOk()) {
+        warn(store.status().message() + "; recomputing every cell");
+        return 0;
     }
-    std::fprintf(file, "%s\n", checkpointMagic);
-    const GridState &grid = *activeGrid;
-    for (std::size_t idx = 0; idx < grid.rows * grid.cols; ++idx) {
-        if (!grid.done[idx].load(std::memory_order_acquire))
-            continue;
-        const double value =
-            (*grid.cells)[idx / grid.cols][idx % grid.cols];
-        std::fprintf(file, "%016llx %016llx\n",
-                     static_cast<unsigned long long>(grid.keys[idx]),
-                     static_cast<unsigned long long>(
-                         doubleToBits(value)));
+    // Corrupt files are quarantined to .corrupt-* by the merge. An
+    // intact file cannot belong to a differently-shaped grid unless
+    // its hash collides, so any cell outside this grid discards the
+    // lot rather than trust some of it.
+    std::map<std::uint32_t, double> saved;
+    SalvageRegistry::Totals salvage; // recounted as traces reload
+    (void)store.mergeAll(&saved, &salvage);
+    const std::size_t total = grid.rows * grid.cols;
+    if (!saved.empty() && saved.rbegin()->first >= total) {
+        warn("ignoring result store " + storeDir + ": cell " +
+             std::to_string(saved.rbegin()->first) +
+             " is outside this " + std::to_string(grid.rows) + "x" +
+             std::to_string(grid.cols) + " grid");
+        return 0;
     }
-    const bool write_ok = std::fflush(file) == 0 && !std::ferror(file);
-    std::fclose(file);
-    if (!write_ok || std::rename(temp.c_str(), checkpointPath.c_str())) {
-        std::remove(temp.c_str());
-        warn("cannot publish checkpoint " + checkpointPath + ": " +
-             std::strerror(errno));
+    for (const auto &[idx, value] : saved) {
+        (*grid.cells)[idx / grid.cols][idx % grid.cols] = value;
+        grid.done[idx].store(true, std::memory_order_relaxed);
     }
+    if (!saved.empty()) {
+        std::fprintf(stderr, "sim: resumed %zu of %zu cells from %s\n",
+                     saved.size(), total, storeDir.c_str());
+    }
+    return saved.size();
 }
 
 void
 SimRunner::exitOnSignal(int signal_number)
 {
-    if (activeGrid != nullptr && !checkpointPath.empty()) {
-        std::size_t done_cells = 0;
-        const std::size_t total =
-            activeGrid->rows * activeGrid->cols;
-        for (std::size_t idx = 0; idx < total; ++idx)
-            done_cells += activeGrid->done[idx].load() ? 1 : 0;
-        flushCheckpoint();
+    if (activeGrid == nullptr) {
+        std::fprintf(stderr,
+                     "sim: interrupted by signal %d; no resumable grid "
+                     "was in flight\n",
+                     signal_number);
+        std::exit(128 + signal_number);
+    }
+    // The finished cells go out as one store file covering the whole
+    // grid; a second interrupt after --resume rewrites it with the
+    // cells it reloaded plus the new ones.
+    const GridState &grid = *activeGrid;
+    const std::size_t total = grid.rows * grid.cols;
+    fleet::ShardResult finished;
+    for (std::size_t idx = 0; idx < total; ++idx) {
+        if (grid.done[idx].load(std::memory_order_acquire)) {
+            finished.cells.emplace_back(
+                static_cast<std::uint32_t>(idx),
+                (*grid.cells)[idx / grid.cols][idx % grid.cols]);
+        }
+    }
+    const std::size_t done = finished.cells.size();
+    if (storeDir.empty()) {
         std::fprintf(stderr,
                      "sim: interrupted by signal %d; %zu of %zu cells "
-                     "checkpointed to %s (rerun with --resume 1)\n",
-                     signal_number, done_cells, total,
-                     checkpointPath.c_str());
-    } else {
+                     "discarded (no --result-store configured)\n",
+                     signal_number, done, total);
+        std::exit(128 + signal_number);
+    }
+    const auto last = static_cast<std::uint32_t>(total - 1);
+    const fleet::ResultStore store(storeDir, grid.hash);
+    Status published = store.status();
+    if (published.isOk())
+        published = store.store(0, last, finished);
+    if (published.isOk()) {
         std::fprintf(stderr,
-                     "sim: interrupted by signal %d; no --checkpoint "
-                     "file configured, progress discarded\n",
-                     signal_number);
+                     "sim: interrupted by signal %d; %zu of %zu cells "
+                     "published to %s (rerun with --resume 1)\n",
+                     signal_number, done, total,
+                     store.pathFor(0, last).c_str());
+    } else {
+        warn(published.message());
+        std::fprintf(stderr,
+                     "sim: interrupted by signal %d; %zu of %zu cells "
+                     "could not be published, progress discarded\n",
+                     signal_number, done, total);
     }
     std::exit(128 + signal_number);
 }
@@ -760,9 +717,9 @@ SimRunner::reportStats() const
     }
     if (resumedCellCount > 0) {
         std::fprintf(stderr,
-                     "sim: %llu cells served from checkpoint %s\n",
+                     "sim: %llu cells served from --result-store %s\n",
                      static_cast<unsigned long long>(resumedCellCount),
-                     checkpointPath.c_str());
+                     storeDir.c_str());
     }
     if (crossCheckedCellCount.load() > 0) {
         std::fprintf(stderr,
@@ -805,77 +762,59 @@ SimRunner::reportStats() const
     if (!options.getBool("stats"))
         return;
 
-    // Publish through the stats registry for uniform tooling.
-    Counter jobs_counter, job_micros, wall, captures, capture_time;
-    Counter cache_loads, cache_load_time;
-    Counter cache_hits, cache_lookups, failed_jobs, resumed;
-    jobs_counter += jobsRun.load();
-    job_micros += jobMicros.load();
-    wall += wallMicros.load();
-    captures += capturesRun.load();
-    capture_time += captureMicros.load();
-    cache_loads += cacheLoadsRun.load();
-    cache_load_time += cacheLoadMicros.load();
-    StatGroup group("sim_runner");
-    group.addCounter("jobs", jobs_counter, "simulation jobs executed");
-    group.addCounter("job_micros", job_micros,
-                     "summed per-job wall clock (us)");
-    group.addCounter("wall_micros", wall,
-                     "end-to-end batch wall clock (us)");
-    group.addCounter("vm_captures", captures,
-                     "workload traces captured by the VM");
-    group.addCounter("vm_capture_micros", capture_time,
-                     "wall clock spent capturing traces (us)");
-    group.addCounter("trace_cache_loads", cache_loads,
-                     "traces loaded from the on-disk cache (hits)");
-    group.addCounter("trace_cache_load_micros", cache_load_time,
-                     "wall clock spent loading cache hits (us)");
-    failed_jobs += failure_report.size();
-    group.addCounter("failed_jobs", failed_jobs,
-                     "jobs that threw under --keep-going");
-    resumed += resumedCellCount;
-    group.addCounter("resumed_cells", resumed,
-                     "grid cells reloaded from the checkpoint");
-    Counter cross_checked, timed_out, invariant_checks;
-    cross_checked += crossCheckedCellCount.load();
-    group.addCounter("cross_checked_cells", cross_checked,
-                     "cells re-simulated on the reference model");
-    timed_out += timedOutJobCount.load();
-    group.addCounter("timed_out_jobs", timed_out,
-                     "jobs canceled by the --job-timeout watchdog");
-    invariant_checks += invariantChecksEvaluated();
-    group.addCounter("invariant_checks", invariant_checks,
-                     "self-check invariants evaluated");
+    const auto counter = [](const char *name, std::uint64_t value,
+                            const char *description) {
+        std::fprintf(stderr, "sim_runner.%-32s %14llu  # %s\n", name,
+                     static_cast<unsigned long long>(value), description);
+    };
+    counter("jobs", jobsRun.load(), "simulation jobs executed");
+    counter("job_micros", jobMicros.load(),
+            "summed per-job wall clock (us)");
+    counter("wall_micros", wallMicros.load(),
+            "end-to-end batch wall clock (us)");
+    counter("vm_captures", capturesRun.load(),
+            "workload traces captured by the VM");
+    counter("vm_capture_micros", captureMicros.load(),
+            "wall clock spent capturing traces (us)");
+    counter("trace_cache_loads", cacheLoadsRun.load(),
+            "traces loaded from the on-disk cache (hits)");
+    counter("trace_cache_load_micros", cacheLoadMicros.load(),
+            "wall clock spent loading cache hits (us)");
+    counter("failed_jobs", failure_report.size(),
+            "jobs that threw under --keep-going");
+    counter("resumed_cells", resumedCellCount,
+            "grid cells reloaded from --result-store");
+    counter("cross_checked_cells", crossCheckedCellCount.load(),
+            "cells re-simulated on the reference model");
+    counter("timed_out_jobs", timedOutJobCount.load(),
+            "jobs canceled by the --job-timeout watchdog");
+    counter("invariant_checks", invariantChecksEvaluated(),
+            "self-check invariants evaluated");
     if (cache) {
-        cache_hits += cache->hits();
-        cache_lookups += cache->hits() + cache->misses();
-        group.addCounter("trace_cache_hits", cache_hits,
-                         "captures served from the on-disk cache");
-        group.addRatio("trace_cache_hit_rate", cache_hits,
-                       cache_lookups, "hits / lookups");
+        counter("trace_cache_hits", cache->hits(),
+                "captures served from the on-disk cache");
     }
     const IdealSweep::Counters sweeps = sweepTotals();
-    Counter predictor_passes, baseline_runs, replays;
-    predictor_passes += sweeps.predictorPasses;
-    group.addCounter("ideal_predictor_passes", predictor_passes,
-                     "fused sweeps: live predictor passes (outcome "
-                     "columns computed)");
-    baseline_runs += sweeps.baselineRuns;
-    group.addCounter("ideal_novp_runs", baseline_runs,
-                     "fused sweeps: no-VP machine runs (timing keys "
-                     "computed)");
-    replays += sweeps.replays;
-    group.addCounter("ideal_vp_replays", replays,
-                     "fused sweeps: VP runs replayed from an outcome "
-                     "column");
-    Counter salvaged_blocks, salvaged_records_lost;
-    salvaged_blocks += salvage.blocksQuarantined;
-    group.addCounter("salvaged_blocks", salvaged_blocks,
-                     "corrupt v3 blocks quarantined by salvage");
-    salvaged_records_lost += salvage.recordsLost;
-    group.addCounter("salvaged_records_lost", salvaged_records_lost,
-                     "trace records lost to quarantined blocks");
-    std::fputs(group.dump().c_str(), stderr);
+    counter("ideal_predictor_passes", sweeps.predictorPasses,
+            "fused sweeps: live predictor passes (outcome columns "
+            "computed)");
+    counter("ideal_novp_runs", sweeps.baselineRuns,
+            "fused sweeps: no-VP machine runs (timing keys computed)");
+    counter("ideal_vp_replays", sweeps.replays,
+            "fused sweeps: VP runs replayed from an outcome column");
+    counter("salvaged_blocks", salvage.blocksQuarantined,
+            "corrupt v3 blocks quarantined by salvage");
+    counter("salvaged_records_lost", salvage.recordsLost,
+            "trace records lost to quarantined blocks");
+    if (cache) {
+        const std::uint64_t lookups = cache->hits() + cache->misses();
+        std::fprintf(stderr, "sim_runner.%-32s %14.6f  # %s\n",
+                     "trace_cache_hit_rate",
+                     lookups == 0 ? 0.0
+                                  : static_cast<double>(cache->hits()) /
+                                        static_cast<double>(lookups),
+                     "hits / lookups");
+    }
 }
 
 } // namespace vpsim

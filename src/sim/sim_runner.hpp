@@ -17,19 +17,21 @@
  * binary. Corrupt cache entries are quarantined and recaptured; an
  * unusable cache directory degrades the run to uncached in-memory
  * capture with a one-line warning — faults never change results, only
- * wall clock. Wall-clock and cache hit/miss statistics are published
- * through the stats registry (reportStats()).
+ * wall clock. Wall-clock and cache hit/miss statistics are printed by
+ * reportStats().
  *
  * Failure isolation (long campaigns must survive, not restart):
  *  - `--keep-going`: a throwing job is recorded as a per-job failure
  *    and its cells stay NaN; the batch completes and the failure list
  *    is reported instead of aborting the sweep.
  *  - SIGINT/SIGTERM are handled cooperatively: in-flight jobs drain,
- *    queued jobs are skipped, the grid's finished cells are flushed to
- *    the `--checkpoint` file, and the process exits 128+signal.
- *  - `--resume`: finished cells (keyed by a hash of the experiment
- *    fingerprint + grid + row/col) are reloaded from the checkpoint
- *    file, so an interrupted sweep continues instead of restarting.
+ *    queued jobs are skipped, the in-flight grid's finished cells are
+ *    published to `--result-store` as one CRC-checked fleet::ResultStore
+ *    file (named by a hash of the experiment fingerprint + grid
+ *    ordinal), and the process exits 128+signal.
+ *  - `--resume`: those cells are merged back from the store, so an
+ *    interrupted sweep continues instead of restarting. A corrupt
+ *    store file is quarantined and its cells recomputed.
  *  - `--fault-inject`: arms the deterministic fault injector
  *    (common/io.hpp) for soak-testing all of the above.
  *
@@ -102,11 +104,12 @@ class SimRunner
   public:
     /**
      * @param options Parsed options; reads --jobs, --trace-cache-dir,
-     *        --keep-going, --checkpoint, --resume and --fault-inject
+     *        --keep-going, --result-store, --resume and --fault-inject
      *        (declared by declareRunnerOptions()). The runner keeps a
      *        reference, so @p options must outlive it. Installs
      *        cooperative SIGINT/SIGTERM handlers (restored by the
-     *        destructor).
+     *        destructor). The result store is opened only by runGrid(),
+     *        on --resume or on a signal.
      */
     explicit SimRunner(const Options &options);
     ~SimRunner();
@@ -129,7 +132,8 @@ class SimRunner
      * by a job is rethrown here after the batch drains; with it, the
      * failure is recorded (failures()) and the batch completes. If a
      * SIGINT/SIGTERM arrived, queued jobs are skipped, the active
-     * grid's checkpoint is flushed, and the process exits 128+signal.
+     * grid's finished cells are published to the result store, and the
+     * process exits 128+signal.
      */
     void run(std::vector<SimJob> batch);
 
@@ -137,12 +141,12 @@ class SimRunner
      * Declare-and-run a dense rows × cols grid.
      *
      * Cells start as NaN; a job that fails under --keep-going leaves
-     * NaN in its cell. With --resume, cells recorded in the
-     * --checkpoint file are loaded and their jobs never run.
+     * NaN in its cell. With --resume, cells an interrupted run
+     * published to --result-store are loaded and their jobs never run.
      *
      * When the bench supplies @p reference and --cross-check N is
-     * given, a deterministic sample of N cells (chosen by checkpoint
-     * key, so the sample is stable across --jobs values and reruns) is
+     * given, a deterministic sample of N cells (chosen by cell key, so
+     * the sample is stable across --jobs values and reruns) is
      * re-simulated on the golden-reference model after the primary
      * result is computed; any divergence beyond 1e-9 relative error is
      * an internal-consistency failure — the cell reverts to NaN and the
@@ -209,7 +213,7 @@ class SimRunner
      */
     std::vector<JobFailure> failures() const EXCLUDES(failuresMutex);
 
-    /** Grid cells served from the checkpoint file by --resume. */
+    /** Grid cells served from the result store by --resume. */
     std::uint64_t resumedCells() const { return resumedCellCount; }
 
     /** Cells re-simulated (and agreeing) on the reference model. */
@@ -238,16 +242,19 @@ class SimRunner
      * Print the runtime's summary to stderr: jobs run, threads, wall
      * and cpu time, trace-cache hits/misses when a cache is
      * configured, and the per-job failure report when --keep-going
-     * recorded any. With --stats, additionally dump the full stats
-     * registry group. stdout is never touched, so tables and --csv
-     * stay byte-identical across --jobs values.
+     * recorded any. With --stats, additionally dump every counter as a
+     * `sim_runner.<name> <value>  # <description>` line. stdout is
+     * never touched, so tables and --csv stay byte-identical across
+     * --jobs values.
      */
     void reportStats() const;
 
   private:
-    /** Per-grid checkpoint bookkeeping, alive during runGrid()'s run(). */
+    /** Per-grid bookkeeping, alive during runGrid()'s run(). */
     struct GridState
     {
+        /** Result-store identity: fingerprint hash + grid ordinal. */
+        std::uint64_t hash = 0;
         std::size_t rows = 0;
         std::size_t cols = 0;
         std::vector<std::uint64_t> keys;
@@ -259,7 +266,7 @@ class SimRunner
 
     std::uint64_t cellKey(std::uint64_t grid, std::size_t row,
                           std::size_t col) const;
-    void flushCheckpoint() const;
+    std::size_t resumeGrid(GridState &grid) const;
     [[noreturn]] void exitOnSignal(int signal_number);
     void recordFailure(const std::string &label,
                        const std::string &error)
@@ -271,13 +278,14 @@ class SimRunner
     std::unique_ptr<TraceCacheStore> cache;
 
     bool keepGoing = false;
-    std::string checkpointPath;
+    /** --result-store (empty = an interrupted grid is discarded). */
+    std::string storeDir;
     bool resumeRequested = false;
     /** --cross-check N: reference-model cells per grid (0 = off). */
     std::uint64_t crossCheckCells = 0;
     /** --job-timeout in seconds (0 = watchdog disabled). */
     double jobTimeoutSeconds = 0.0;
-    /** Hash of the experiment-defining options (checkpoint keying). */
+    /** Hash of the experiment-defining options (grid identity). */
     std::uint64_t configHash = 0;
     std::uint64_t gridOrdinal = 0;
     GridState *activeGrid = nullptr;

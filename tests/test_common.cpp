@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common infrastructure: saturating counters,
- * histograms, RNG, stats groups, table printing, and option parsing.
+ * histograms, RNG, table printing, and option parsing.
  */
 
 #include <cstdio>
@@ -17,7 +17,6 @@
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/sat_counter.hpp"
-#include "common/stats.hpp"
 #include "common/table_printer.hpp"
 
 namespace vpsim
@@ -226,41 +225,6 @@ TEST(Rng, ChanceIsRoughlyCalibrated)
         hits += rng.nextChance(1, 4) ? 1 : 0;
     EXPECT_GT(hits, 2100);
     EXPECT_LT(hits, 2900);
-}
-
-TEST(Stats, CounterBasics)
-{
-    Counter counter;
-    ++counter;
-    counter += 4;
-    counter.increment();
-    EXPECT_EQ(counter.value(), 6u);
-    counter.reset();
-    EXPECT_EQ(counter.value(), 0u);
-}
-
-TEST(Stats, GroupDumpContainsEntries)
-{
-    Counter hits;
-    Counter total;
-    hits += 3;
-    total += 4;
-    StatGroup group("vp");
-    group.addCounter("hits", hits, "correct predictions");
-    group.addRatio("accuracy", hits, total);
-    const std::string dump = group.dump();
-    EXPECT_NE(dump.find("vp.hits"), std::string::npos);
-    EXPECT_NE(dump.find("3"), std::string::npos);
-    EXPECT_NE(dump.find("0.75"), std::string::npos);
-}
-
-TEST(Stats, RatioWithZeroDenominator)
-{
-    Counter n;
-    Counter d;
-    StatGroup group("g");
-    group.addRatio("ratio", n, d);
-    EXPECT_NE(group.dump().find("0.0"), std::string::npos);
 }
 
 TEST(TablePrinterTest, RendersAlignedTable)

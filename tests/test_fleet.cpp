@@ -31,6 +31,7 @@
 #include "fleet/shard_planner.hpp"
 #include "fleet/worker.hpp"
 #include "fleet/worker_handle.hpp"
+#include "sim/experiment.hpp"
 
 namespace vpsim
 {
@@ -529,6 +530,27 @@ TEST(GridAxes, LargestUint32ValueIsKept)
     const FleetGrid grid(fleetOptions(
         {"--vp-penalties", "4294967295", "--benchmarks", "go"}));
     EXPECT_EQ(grid.columnConfig(0).vpPenalty, 4294967295u);
+}
+
+TEST(FleetOptions, ResultStoreAndResumeAreTheOnlyPersistenceOptions)
+{
+    EXPECT_DEATH(fleetOptions({"--resume", "1"}),
+                 "--resume 1 requires --result-store");
+    EXPECT_EXIT(fleetOptions({"--fleet-resume", "1"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --fleet-resume");
+    EXPECT_EXIT(fleetOptions({"--checkpoint", "/tmp/grid.ckpt"}),
+                ::testing::ExitedWithCode(1), "unknown option --checkpoint");
+    EXPECT_TRUE(fleetOptions({"--resume", "1", "--result-store", "/tmp/s"})
+                    .getBool("resume"));
+}
+
+TEST(FleetOptions, ExclusionsExtendTheRunnerList)
+{
+    const std::vector<std::string> &runner = runnerFingerprintExclusions();
+    const std::vector<std::string> &fleet = fleetFingerprintExclusions();
+    ASSERT_GT(fleet.size(), runner.size());
+    EXPECT_TRUE(std::equal(runner.begin(), runner.end(), fleet.begin()));
 }
 
 TEST(WorkerCells, TrailingGarbageIsAParseError)

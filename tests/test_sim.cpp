@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -20,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -154,7 +156,22 @@ TEST(Harness, StatsSplitSetUpIntoCapturesAndCacheLoads)
     std::uint64_t loads = 0;
     line >> name >> loads;
     EXPECT_EQ(loads, 2u) << warm;
-    EXPECT_NE(warm.find("sim_runner.trace_cache_load_micros "),
+    for (const char *stat :
+         {"jobs", "job_micros", "wall_micros", "vm_captures",
+          "vm_capture_micros", "trace_cache_loads",
+          "trace_cache_load_micros", "failed_jobs", "resumed_cells",
+          "cross_checked_cells", "timed_out_jobs", "invariant_checks",
+          "trace_cache_hits", "ideal_predictor_passes", "ideal_novp_runs",
+          "ideal_vp_replays", "salvaged_blocks", "salvaged_records_lost",
+          "trace_cache_hit_rate"}) {
+        EXPECT_NE(warm.find("\nsim_runner." + std::string(stat) + " "),
+                  std::string::npos)
+            << stat << " missing from\n" << warm;
+    }
+    // Names pad to 32 columns, values right-align in 14.
+    EXPECT_NE(warm.find("sim_runner.trace_cache_hit_rate" +
+                        std::string(19, ' ') +
+                        "1.000000  # hits / lookups\n"),
               std::string::npos)
         << warm;
     std::filesystem::remove_all(dir);
@@ -483,57 +500,201 @@ TEST(SimRunner, ConcurrentFailureSnapshotsStayConsistent)
         << "a snapshot saw more failures than ever existed";
 }
 
-TEST(SimRunner, ResumeWithoutCheckpointDies)
+TEST(SimRunner, ResumeWithoutResultStoreDies)
 {
     // The combination is rejected at parse time (option validators),
     // before a SimRunner is ever constructed.
     EXPECT_DEATH(parsedOptions({"--resume", "1"}),
-                 "--resume 1 requires --checkpoint");
+                 "--resume 1 requires --result-store");
+}
+
+std::string
+scratchStore(const char *tag)
+{
+    const std::string dir = "/tmp/vpsim_test_" + std::string(tag) + "_" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+/** Files in @p dir whose names start with @p prefix, sorted. */
+std::vector<std::string>
+filesWithPrefix(const std::string &dir, const std::string &prefix)
+{
+    std::vector<std::string> names;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind(prefix, 0) == 0)
+            names.push_back(name);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+double
+gridValue(std::size_t row, std::size_t col)
+{
+    return 0.125 * static_cast<double>(10 * row + col + 1);
+}
+
+/**
+ * Run a 2x2 grid with --jobs 1 in a death-test child and SIGINT it at
+ * job @p sigint_job; cells before it finish and are published.
+ */
+void
+interruptGrid(const std::string &store, const char *sigint_job)
+{
+    const Options options = parsedOptions(
+        {"--jobs", "1", "--result-store", store.c_str(), "--fault-inject",
+         sigint_job});
+    SimRunner runner(options);
+    runner.runGrid(2, 2, gridValue);
 }
 
 TEST(SimRunner, SigintFlushesACheckpointAndResumeFinishes)
 {
-    const std::string ckpt = "/tmp/vpsim_test_ckpt_" +
-                             std::to_string(::getpid()) + ".txt";
-    std::remove(ckpt.c_str());
+    const std::string store = scratchStore("store");
 
     // Interrupted sweep, in a death-test child: with --jobs 1 the grid
     // runs in submission order, so `job:2:sigint` lands after exactly
-    // one finished cell. The runner must drain, flush the checkpoint,
-    // and exit 128+SIGINT.
-    const auto interrupted = [&] {
-        const Options options = parsedOptions(
-            {"--jobs", "1", "--checkpoint", ckpt.c_str(),
-             "--fault-inject", "job:2:sigint"});
-        SimRunner runner(options);
-        runner.runGrid(2, 2, [](std::size_t row, std::size_t col) {
-            return static_cast<double>(10 * row + col);
-        });
-    };
-    EXPECT_EXIT(interrupted(), ::testing::ExitedWithCode(128 + SIGINT),
-                "interrupted by signal 2.*1 of 4 cells checkpointed");
-    ASSERT_TRUE(std::ifstream(ckpt).good())
-        << "the interrupted run must leave a checkpoint behind";
+    // one finished cell. The runner must drain, publish the finished
+    // cell to the result store, and exit 128+SIGINT.
+    EXPECT_EXIT(interruptGrid(store, "job:2:sigint"),
+                ::testing::ExitedWithCode(128 + SIGINT),
+                "interrupted by signal 2; 1 of 4 cells published");
+    ASSERT_EQ(filesWithPrefix(store, "shard-").size(), 1u)
+        << "the interrupted run must leave one store file behind";
 
-    // Resume: the finished cell is served from the checkpoint (its job
+    // Resume: the finished cell is served from the store (its job
     // never runs again), the rest compute, and values are identical to
     // an uninterrupted sweep.
     const Options options = parsedOptions(
-        {"--jobs", "1", "--checkpoint", ckpt.c_str(), "--resume", "1"});
+        {"--jobs", "1", "--result-store", store.c_str(), "--resume", "1"});
     SimRunner runner(options);
     std::atomic<int> cell_calls{0};
     const auto cells =
         runner.runGrid(2, 2, [&](std::size_t row, std::size_t col) {
             ++cell_calls;
-            return static_cast<double>(10 * row + col);
+            return gridValue(row, col);
         });
     EXPECT_EQ(runner.resumedCells(), 1u);
     EXPECT_EQ(cell_calls.load(), 3)
-        << "resume must not recompute the checkpointed cell";
+        << "resume must not recompute the published cell";
     for (std::size_t r = 0; r < 2; ++r)
         for (std::size_t c = 0; c < 2; ++c)
-            EXPECT_EQ(cells[r][c], static_cast<double>(10 * r + c));
-    std::remove(ckpt.c_str());
+            EXPECT_EQ(cells[r][c], gridValue(r, c));
+    std::filesystem::remove_all(store);
+}
+
+TEST(SimRunner, BitFlippedStoreFileIsQuarantinedOnResume)
+{
+    const std::string store = scratchStore("bitflip");
+    EXPECT_EXIT(interruptGrid(store, "job:3:sigint"),
+                ::testing::ExitedWithCode(128 + SIGINT),
+                "2 of 4 cells published");
+    const std::vector<std::string> published =
+        filesWithPrefix(store, "shard-");
+    ASSERT_EQ(published.size(), 1u);
+
+    // Flip the last hex digit of the first cell's value bits (line 4:
+    // magic, fleet hash, cell count, then "index bits" per cell).
+    const std::string path = store + "/" + published[0];
+    std::string text;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        text = bytes.str();
+    }
+    std::size_t line_end = 0;
+    for (int line = 0; line < 4; ++line)
+        line_end = text.find('\n', line_end + (line > 0 ? 1 : 0));
+    ASSERT_NE(line_end, std::string::npos);
+    char &digit = text[line_end - 1];
+    digit = digit == '0' ? '1' : '0';
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+
+    // The flipped file must not reload a wrong cell: it is quarantined
+    // and every cell recomputes to the uninterrupted values.
+    const Options options = parsedOptions(
+        {"--jobs", "1", "--result-store", store.c_str(), "--resume", "1"});
+    SimRunner runner(options);
+    std::atomic<int> cell_calls{0};
+    const auto cells =
+        runner.runGrid(2, 2, [&](std::size_t row, std::size_t col) {
+            ++cell_calls;
+            return gridValue(row, col);
+        });
+    EXPECT_EQ(runner.resumedCells(), 0u);
+    EXPECT_EQ(cell_calls.load(), 4);
+    for (std::size_t r = 0; r < 2; ++r)
+        for (std::size_t c = 0; c < 2; ++c)
+            EXPECT_EQ(cells[r][c], gridValue(r, c));
+    EXPECT_TRUE(filesWithPrefix(store, "shard-").empty());
+    EXPECT_EQ(filesWithPrefix(store, ".corrupt-shard-").size(), 1u)
+        << "the corrupt store file must be kept for post-mortem";
+    std::filesystem::remove_all(store);
+}
+
+TEST(SimRunner, ResumeRejectsCellsOutsideTheGrid)
+{
+    // The store file is named by the options and the grid's ordinal,
+    // not its shape: a bench whose grid shrank between runs finds its
+    // old file, whose cell 2 does not exist in a 1x2 grid. None of the
+    // file's cells may be trusted then, so every cell recomputes.
+    const std::string store = scratchStore("shape");
+    EXPECT_EXIT(interruptGrid(store, "job:4:sigint"),
+                ::testing::ExitedWithCode(128 + SIGINT),
+                "3 of 4 cells published");
+    const Options options = parsedOptions(
+        {"--jobs", "1", "--result-store", store.c_str(), "--resume", "1"});
+    SimRunner runner(options);
+    std::atomic<int> cell_calls{0};
+    const auto cells =
+        runner.runGrid(1, 2, [&](std::size_t row, std::size_t col) {
+            ++cell_calls;
+            return gridValue(row, col) + 1.0;
+        });
+    EXPECT_EQ(runner.resumedCells(), 0u);
+    EXPECT_EQ(cell_calls.load(), 2);
+    EXPECT_EQ(cells[0][1], gridValue(0, 1) + 1.0);
+    std::filesystem::remove_all(store);
+}
+
+TEST(SimRunner, StoreIsOnlyOpenedOnResumeOrSignal)
+{
+    // Fleet workers carry --result-store but never run a grid through
+    // SimRunner; a run that is neither resumed nor interrupted must
+    // not create, probe or write the store.
+    const std::string store = scratchStore("untouched");
+    const Options options = parsedOptions(
+        {"--jobs", "2", "--result-store", store.c_str(), "--insts",
+         "1000", "--benchmarks", "go"});
+    SimRunner runner(options);
+    (void)runner.captureBenchmarks();
+    const auto cells = runner.runGrid(2, 2, gridValue);
+    EXPECT_EQ(cells[1][1], gridValue(1, 1));
+    EXPECT_FALSE(std::filesystem::exists(store));
+}
+
+TEST(SimRunner, SigintOutsideAGridSaysThereIsNothingToResume)
+{
+    // Capture runs through run(), not runGrid(): a signal there has no
+    // grid to publish, whatever --result-store says.
+    const std::string store = scratchStore("nogrid");
+    const auto interrupted = [&store] {
+        const Options options = parsedOptions(
+            {"--jobs", "1", "--result-store", store.c_str(), "--insts",
+             "1000", "--benchmarks", "go", "--fault-inject",
+             "job:1:sigint"});
+        SimRunner runner(options);
+        (void)runner.captureBenchmarks();
+    };
+    EXPECT_EXIT(interrupted(), ::testing::ExitedWithCode(128 + SIGINT),
+                "no resumable grid was in flight");
+    EXPECT_FALSE(std::filesystem::exists(store));
 }
 
 } // namespace

@@ -392,10 +392,14 @@ TEST(Watchdog, HeartbeatIsANoOpOutsideJobs)
 // Parse-time option-combination validation
 // ---------------------------------------------------------------------
 
-TEST(OptionValidation, ResumeRequiresCheckpoint)
+TEST(OptionValidation, ResumeRequiresResultStore)
 {
     EXPECT_DEATH(parsedOptions({"--resume", "1"}),
-                 "--resume 1 requires --checkpoint");
+                 "--resume 1 requires --result-store");
+    // --result-store is the only persistence option; the old text
+    // checkpoint flag is gone.
+    EXPECT_EXIT(parsedOptions({"--checkpoint", "/tmp/grid.ckpt"}),
+                ::testing::ExitedWithCode(1), "unknown option --checkpoint");
 }
 
 TEST(OptionValidation, ExplicitNonPositiveJobTimeoutRejected)
@@ -447,7 +451,7 @@ TEST(Manifest, WrittenNextToCsvAndChecksumsMatch)
     manifest_text << manifest.rdbuf();
     const std::string text = manifest_text.str();
 
-    EXPECT_NE(text.find("\"schema\": \"vpsim-run-manifest 2\""),
+    EXPECT_NE(text.find("\"schema\": \"vpsim-manifest 3\""),
               std::string::npos);
     EXPECT_NE(text.find("\"salvagedBlocks\": 0"), std::string::npos)
         << "a clean run must record a zero salvage tally";
